@@ -22,16 +22,10 @@
 use std::time::Duration;
 
 use cwcs_bench::{
-    deterministic_mode, figure_10_point_with, mean, percent_reduction, write_artifact, JsonObject,
+    deterministic_mode, env_usize, figure_10_point_with, mean, percent_reduction, write_artifact,
+    JsonObject,
 };
 use cwcs_core::PlanOptimizer;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let samples = env_usize("CWCS_FIG10_SAMPLES", 3);

@@ -22,16 +22,9 @@
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-use cwcs_bench::{deterministic_mode, large_scale_netbound, write_artifact, JsonObject};
+use cwcs_bench::{deterministic_mode, env_usize, large_scale_netbound, write_artifact, JsonObject};
 use cwcs_core::decision::DecisionModule;
 use cwcs_core::{ControlLoop, ControlLoopConfig, FcfsConsolidation, OptimizerMode, PlanOptimizer};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let nodes = env_usize("CWCS_NB_NODES", 500) as u32;

@@ -43,18 +43,11 @@
 
 use std::time::{Duration, Instant};
 
-use cwcs_bench::{deterministic_mode, streaming_scenario, write_artifact, JsonObject};
+use cwcs_bench::{deterministic_mode, env_usize, streaming_scenario, write_artifact, JsonObject};
 use cwcs_core::{
     ControlLoop, ControlLoopConfig, FcfsConsolidation, IterationReport, OptimizerMode, SolverConfig,
 };
 use cwcs_model::{CpuCapacity, MemoryMib, NetBandwidth, NodeId};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let deterministic = deterministic_mode();

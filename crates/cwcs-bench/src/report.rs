@@ -112,6 +112,29 @@ pub fn deterministic_mode() -> bool {
     )
 }
 
+/// The `usize` value of the environment variable `name`, or `default` when
+/// it is unset.  A value that does not parse (`CWCS_SOLVER_WORKERS=four`)
+/// is a usage error: the binary names the variable and its value on
+/// stderr and exits with status 1 instead of running with the default.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_usize_knob(name, value.as_deref(), default).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(1);
+    })
+}
+
+/// The parsing half of [`env_usize`]: `value` is the variable's content,
+/// `None` when unset.
+fn parse_usize_knob(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("{name}={raw:?} is not a non-negative integer")),
+    }
+}
+
 /// Write a rendered benchmark artifact to the path named by `path_env`
 /// (falling back to `default_path`), printing the destination on success
 /// and exiting with status 1 when the write fails — the shared tail of
@@ -159,6 +182,15 @@ pub fn percent_reduction(baseline: f64, improved: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn usize_knobs_parse_or_name_the_bad_value() {
+        assert_eq!(parse_usize_knob("CWCS_SOLVER_WORKERS", None, 4), Ok(4));
+        assert_eq!(parse_usize_knob("CWCS_SOLVER_WORKERS", Some("2"), 4), Ok(2));
+        let message = parse_usize_knob("CWCS_SOLVER_WORKERS", Some("four"), 4).unwrap_err();
+        assert!(message.contains("CWCS_SOLVER_WORKERS"), "{message}");
+        assert!(message.contains("four"), "{message}");
+    }
 
     #[test]
     fn mean_of_values() {

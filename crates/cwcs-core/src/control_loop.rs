@@ -102,8 +102,8 @@ impl ObservationConfig {
     }
 }
 
-/// Solver and execution tuning, grouped (the `EngineBuilder` facade takes
-/// one of these instead of a handful of flat setters).
+/// Solver tuning, grouped (the `EngineBuilder` facade takes one of these
+/// instead of a handful of flat setters).
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Time budget of the branch & bound search per solve.
@@ -124,8 +124,6 @@ pub struct SolverConfig {
     /// in place before an incremental solve rebuilds (see
     /// [`crate::optimizer::PlanOptimizer::model_patch_budget`]).
     pub model_patch_budget: usize,
-    /// How context switches are executed (event-driven by default).
-    pub execution_mode: ExecutionMode,
 }
 
 impl Default for SolverConfig {
@@ -139,7 +137,6 @@ impl Default for SolverConfig {
             packing: optimizer.packing,
             warm_start: false,
             model_patch_budget: optimizer.model_patch_budget,
-            execution_mode: ExecutionMode::default(),
         }
     }
 }
@@ -184,12 +181,6 @@ impl SolverConfig {
     /// Set the VM set-diff budget of cached-model patching.
     pub fn with_model_patch_budget(mut self, budget: usize) -> Self {
         self.model_patch_budget = budget;
-        self
-    }
-
-    /// Select how context switches are executed.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
         self
     }
 

@@ -103,7 +103,7 @@ use cwcs_model::{
 use cwcs_plan::{ActionCostModel, PlanCost, Planner, PlannerError, ReconfigurationPlan};
 use cwcs_sim::monitor::{ClusterView, ObservationDelta};
 use cwcs_solver::constraints::{MultiDimPacking, PackingSlots};
-use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch, PortfolioStats, RaceStrategy};
+use cwcs_solver::portfolio::{PortfolioConfig, PortfolioSearch, PortfolioStats};
 use cwcs_solver::search::{
     ClosureObjective, RestartPolicy, Search, SearchConfig, SearchStats, ValueSelection,
     VariableSelection,
@@ -212,11 +212,12 @@ pub struct WarmStart {
 /// [`PackingSlots::patch`] when the problem shape is unchanged), and the
 /// warm-start state of the search.
 ///
-/// [`PlanOptimizer::optimize_incremental`] threads this through every solve.
-/// The memory is purely an accelerator: with warm start disabled (the
-/// default) an incremental solve is bit-identical to a from-scratch
-/// [`PlanOptimizer::optimize`] on the same inputs — the lockstep suite in
-/// `tests/lockstep.rs` holds the two modes to that contract.
+/// [`PlanOptimizer::optimize_incremental`] threads this through every solve;
+/// [`PlanOptimizer::optimize`] is the same solve against fresh memory.  The
+/// memory is purely an accelerator: with warm start disabled (the default)
+/// a solve against memory patched over many ticks is bit-identical to one
+/// against fresh memory on the same inputs — the lockstep suite in
+/// `tests/lockstep.rs` holds patched memory to that contract.
 #[derive(Clone, Default)]
 pub struct SolverMemory {
     /// Version of the [`ClusterView`] the demand table was last patched to.
@@ -493,10 +494,6 @@ pub struct PlanOptimizer {
     /// Number of portfolio workers racing each placement solve (1 = the
     /// plain single-threaded search).
     pub solver_workers: usize,
-    /// How a multi-worker portfolio divides the search space: the default
-    /// partitioned+stealing race, or the historical duplicated race kept
-    /// for A/B benchmarking (see `cwcs_solver::portfolio::RaceStrategy`).
-    pub race: RaceStrategy,
     /// Scope of the placement problem (full re-solve or repair).
     pub mode: OptimizerMode,
     /// How booting (waiting) VMs are budgeted when packing: by reservation
@@ -527,7 +524,6 @@ impl Default for PlanOptimizer {
             timeout: Duration::from_secs(40),
             node_limit: None,
             solver_workers: 1,
-            race: RaceStrategy::default(),
             mode: OptimizerMode::Full,
             packing: PackingPolicy::default(),
             warm_start: false,
@@ -565,12 +561,6 @@ impl PlanOptimizer {
         self
     }
 
-    /// Select how a multi-worker portfolio divides the search space.
-    pub fn with_race_strategy(mut self, race: RaceStrategy) -> Self {
-        self.race = race;
-        self
-    }
-
     /// Select how booting VMs are budgeted when packing.
     pub fn with_packing_policy(mut self, packing: PackingPolicy) -> Self {
         self.packing = packing;
@@ -578,9 +568,9 @@ impl PlanOptimizer {
     }
 
     /// Warm-start incremental solves from the previous iteration's search
-    /// state (value ordering + restart schedule).  Only
-    /// [`PlanOptimizer::optimize_incremental`] consults this; plain
-    /// [`PlanOptimizer::optimize`] calls always solve cold.
+    /// state (value ordering + restart schedule).  Plain
+    /// [`PlanOptimizer::optimize`] calls start from fresh memory, so they
+    /// always solve cold.
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
         self
@@ -594,19 +584,22 @@ impl PlanOptimizer {
     }
 
     /// Optimize: find a cheap viable configuration implementing `decision`
-    /// and the plan that reaches it from `current`.
+    /// and the plan that reaches it from `current`.  This is the first tick
+    /// of an incremental solve: a full observation of `current` applied to
+    /// a fresh [`ClusterView`], synced into a fresh [`SolverMemory`], then
+    /// [`PlanOptimizer::optimize_incremental`].
     pub fn optimize(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        match self.mode {
-            OptimizerMode::Full => self.optimize_full(current, decision, vjobs, None, None),
-            OptimizerMode::Repair(config) => {
-                self.optimize_repair(current, decision, vjobs, config, None, None)
-            }
-        }
+        let delta = ObservationDelta::full_of(current);
+        let mut view = ClusterView::new();
+        view.apply(&delta);
+        let mut memory = SolverMemory::new();
+        self.sync_memory(&mut memory, &delta, current);
+        self.optimize_incremental(&mut memory, &view, current, decision, vjobs)
     }
 
     /// Patch the persistent demand table from one observation delta: only
@@ -637,14 +630,15 @@ impl PlanOptimizer {
         memory.view_version = delta.version;
     }
 
-    /// Optimize against the persistent solver state: like
-    /// [`PlanOptimizer::optimize`], but the overload set comes from the
-    /// incrementally-maintained [`ClusterView`] (O(changes) per tick instead
-    /// of an O(nodes · VMs) rescan), demands come from the memory's patched
-    /// table, the placement model is patched in place when its shape is
-    /// unchanged, and — when [`PlanOptimizer::with_warm_start`] is set — the
-    /// search continues the previous iteration's value ordering and restart
-    /// schedule.
+    /// Optimize against the persistent solver state: the overload set comes
+    /// from the incrementally-maintained [`ClusterView`] (O(changes) per
+    /// tick instead of an O(nodes · VMs) rescan), demands come from the
+    /// memory's patched table, the cached placement model is patched in
+    /// place when the new problem is within its set-diff budget, and — when
+    /// [`PlanOptimizer::with_warm_start`] is set — the search continues the
+    /// previous iteration's value ordering and restart schedule.  `view`
+    /// and `memory` must be synced to `current` (see
+    /// [`PlanOptimizer::sync_memory`]).
     pub fn optimize_incremental(
         &self,
         memory: &mut SolverMemory,
@@ -661,14 +655,15 @@ impl PlanOptimizer {
         let prev_diversify = warm.as_ref().map(|w| w.next_diversify).unwrap_or(0);
         let outcome = match self.mode {
             OptimizerMode::Full => {
-                self.optimize_full(current, decision, vjobs, Some(memory), warm.as_ref())?
+                self.optimize_full(current, decision, vjobs, memory, warm.as_ref())?
             }
             OptimizerMode::Repair(config) => self.optimize_repair(
                 current,
                 decision,
                 vjobs,
                 config,
-                Some((memory, view)),
+                memory,
+                view,
                 warm.as_ref(),
             )?,
         };
@@ -701,7 +696,7 @@ impl PlanOptimizer {
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
-        memory: Option<&mut SolverMemory>,
+        memory: &mut SolverMemory,
         warm: Option<&WarmStart>,
     ) -> Result<OptimizedOutcome, OptimizerError> {
         let must_run = Self::vms_to_run(decision, vjobs);
@@ -759,7 +754,7 @@ impl PlanOptimizer {
         &self,
         current: &Configuration,
         problem: &PlacementProblem,
-        mut memory: Option<&mut SolverMemory>,
+        memory: &mut SolverMemory,
     ) -> Result<
         (
             Option<BTreeMap<VmId, NodeId>>,
@@ -771,12 +766,12 @@ impl PlanOptimizer {
         let node_ids = &problem.nodes;
 
         // Per-VM packing demand, chosen by the packing policy (a booting VM
-        // is budgeted by its reservation under `PackingPolicy::Reserved`);
-        // an incremental solve reads the memory's patched demand table.
+        // is budgeted by its reservation under `PackingPolicy::Reserved`),
+        // read from the memory's patched demand table.
         let mut demands: Vec<ResourceDemand> = Vec::with_capacity(problem.vms.len());
         for &vm in &problem.vms {
             current.vm(vm).map_err(|_| OptimizerError::UnknownVm(vm))?;
-            demands.push(self.memory_demand(memory.as_deref(), current, vm));
+            demands.push(self.memory_demand(memory, current, vm));
         }
         // One packing constraint per resource dimension, the paper's
         // multi-knapsack formulation generalized to N dimensions.  The
@@ -794,7 +789,7 @@ impl PlanOptimizer {
             .collect();
 
         // --- Build the CP model, or patch the cached one -----------------
-        // When the persistent memory holds a model whose VM set is within
+        // When the memory holds a model whose VM set is within
         // the set-diff budget of this sub-problem's, patch it in place:
         // retire the variables of departed VMs, recycle or append variables
         // for arrivals, and re-post the packing constraints over the live
@@ -806,21 +801,19 @@ impl PlanOptimizer {
         // refuses over-budget diffs, dimension flips and zombie bloat, and
         // we rebuild.
         let mut reused: Option<(Model, Vec<(VmId, VarId)>, Vec<VarId>, PackingSlots)> = None;
-        if let Some(m) = memory.as_deref_mut() {
-            if let Some(cache) = m.cached.take() {
-                if let Some(patched) = cache.patch(
-                    &problem.vms,
-                    node_ids.len(),
-                    &sizes,
-                    &capacities,
-                    self.model_patch_budget,
-                ) {
-                    m.model_patches += 1;
-                    if patched.set_diff {
-                        m.model_set_diff_patches += 1;
-                    }
-                    reused = Some((patched.model, patched.vars, patched.retired, patched.slots));
+        if let Some(cache) = memory.cached.take() {
+            if let Some(patched) = cache.patch(
+                &problem.vms,
+                node_ids.len(),
+                &sizes,
+                &capacities,
+                self.model_patch_budget,
+            ) {
+                memory.model_patches += 1;
+                if patched.set_diff {
+                    memory.model_set_diff_patches += 1;
                 }
+                reused = Some((patched.model, patched.vars, patched.retired, patched.slots));
             }
         }
         let (model, vars, retired, slots) = match reused {
@@ -841,9 +834,7 @@ impl PlanOptimizer {
                     &capacities,
                     LEGACY_DIMS,
                 );
-                if let Some(m) = memory.as_deref_mut() {
-                    m.model_rebuilds += 1;
-                }
+                memory.model_rebuilds += 1;
                 (model, vars, Vec::new(), slots)
             }
         };
@@ -984,7 +975,6 @@ impl PlanOptimizer {
             let race = PortfolioConfig {
                 workers: self.solver_workers,
                 deterministic: self.node_limit.is_some(),
-                strategy: self.race,
                 ffd_incumbent: Self::ffd_seed(&demands, &problem.capacities)
                     .as_deref()
                     .map(scatter),
@@ -999,32 +989,30 @@ impl PlanOptimizer {
                 .collect()
         });
         // Keep the model for the next solve over a nearby problem shape.
-        if let Some(m) = memory {
-            m.cached = Some(CachedModel {
-                model,
-                vars,
-                retired,
-                node_count: node_ids.len(),
-                slots,
-            });
-        }
+        memory.cached = Some(CachedModel {
+            model,
+            vars,
+            retired,
+            node_count: node_ids.len(),
+            slots,
+        });
         Ok((placement, stats, portfolio))
     }
 
-    /// The packing demand of `vm`: the memory's patched table when present
-    /// (an incremental solve), the configuration ground truth otherwise.
-    /// Both are computed by [`PackingPolicy::packing_demand`], so the two
-    /// paths always agree — the table only saves the per-solve recompute.
+    /// The packing demand of `vm`: the memory's patched table, or the
+    /// configuration ground truth for a VM the table has not seen.  Both
+    /// are computed by [`PackingPolicy::packing_demand`], so they always
+    /// agree — the table only saves the per-solve recompute.
     fn memory_demand(
         &self,
-        memory: Option<&SolverMemory>,
+        memory: &SolverMemory,
         current: &Configuration,
         vm: VmId,
     ) -> ResourceDemand {
-        if let Some(d) = memory.and_then(|m| m.demands.get(&vm)) {
-            return *d;
+        match memory.demands.get(&vm) {
+            Some(&demand) => demand,
+            None => self.packing.packing_demand(current, vm),
         }
-        self.packing.packing_demand(current, vm)
     }
 
     /// First-fit-decreasing packing of the placement sub-problem, as a seed
@@ -1091,19 +1079,17 @@ impl PlanOptimizer {
     /// only the movable VMs over a reduced candidate node set, seed the
     /// search with a keep-current-host incumbent, and graft the sub-solution
     /// back onto the untouched configuration.
+    #[allow(clippy::too_many_arguments)]
     fn optimize_repair(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
         config: RepairConfig,
-        incremental: Option<(&mut SolverMemory, &ClusterView)>,
+        memory: &mut SolverMemory,
+        view: &ClusterView,
         warm: Option<&WarmStart>,
     ) -> Result<OptimizedOutcome, OptimizerError> {
-        let (mut memory, view) = match incremental {
-            Some((m, v)) => (Some(m), Some(v)),
-            None => (None, None),
-        };
         let must_run = Self::vms_to_run(decision, vjobs);
         let node_ids = current.node_ids();
         if node_ids.is_empty() {
@@ -1111,22 +1097,14 @@ impl PlanOptimizer {
         }
 
         // Overloaded nodes: their running VMs are misplaced by definition
-        // and must be reconsidered along with the state-changing VMs.  An
-        // incremental solve reads the view's load index, maintained in
-        // O(changes) per tick, instead of rescanning every node; the two
-        // sets are provably equal (see `cwcs_sim::monitor`'s tests).
-        let overloaded: BTreeSet<NodeId> = match view {
-            Some(view) => view
-                .overloaded_nodes()
-                .into_iter()
-                .map(|(node, _)| node)
-                .collect(),
-            None => current
-                .viability_violations()
-                .into_iter()
-                .map(|(node, _)| node)
-                .collect(),
-        };
+        // and must be reconsidered along with the state-changing VMs.  The
+        // view's load index, maintained in O(changes) per tick, answers
+        // this without rescanning every node.
+        let overloaded: BTreeSet<NodeId> = view
+            .overloaded_nodes()
+            .into_iter()
+            .map(|(node, _)| node)
+            .collect();
 
         // Split the VMs that must run into pinned (healthy hosts, untouched)
         // and movable (waiting, sleeping, or on an overloaded node).
@@ -1173,7 +1151,7 @@ impl PlanOptimizer {
             .collect();
         for (&vm, node) in &pinned {
             current.vm(vm).map_err(|_| OptimizerError::UnknownVm(vm))?;
-            let demand = self.memory_demand(memory.as_deref(), current, vm);
+            let demand = self.memory_demand(memory, current, vm);
             let left = free.get_mut(node).expect("pinned host exists");
             *left = left.saturating_sub(&demand);
         }
@@ -1195,7 +1173,7 @@ impl PlanOptimizer {
         let mut needed = ResourceDemand::ZERO;
         for &vm in &movable {
             current.vm(vm).map_err(|_| OptimizerError::UnknownVm(vm))?;
-            needed += self.memory_demand(memory.as_deref(), current, vm);
+            needed += self.memory_demand(memory, current, vm);
         }
 
         // Multi-resource halo ranking: rank the candidate destinations by
@@ -1283,8 +1261,7 @@ impl PlanOptimizer {
                 diversify,
                 warm_placement: warm_movable.clone(),
             };
-            let (solved, stats, portfolio) =
-                self.solve_placement(current, &problem, memory.as_deref_mut())?;
+            let (solved, stats, portfolio) = self.solve_placement(current, &problem, memory)?;
             if let Some(placement) = solved {
                 break (
                     placement,
@@ -1957,12 +1934,12 @@ mod tests {
         let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
         let mut memory = SolverMemory::new();
         let first = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_rebuilds, 1, "cold cache builds once");
         assert_eq!(memory.model_patches, 0);
         let second = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_rebuilds, 1, "the same VM set must not rebuild");
         assert_eq!(memory.model_patches, 1);
@@ -1977,7 +1954,7 @@ mod tests {
         let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
         let mut memory = SolverMemory::new();
         optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         // An arrival: a fifth node and a waiting 2-VM vjob.  The node count
         // changes too, so the patch must also re-bound every live domain.
@@ -1998,7 +1975,7 @@ mod tests {
         vjobs.push(Vjob::new(VjobId(4), vec![VmId(8), VmId(9)], 4));
         let decision = decide(&c, &vjobs);
         let patched = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_rebuilds, 1, "the arrival must not rebuild");
         assert_eq!(memory.model_patches, 1);
@@ -2006,7 +1983,7 @@ mod tests {
 
         let mut fresh_memory = SolverMemory::new();
         let fresh = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut fresh_memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut fresh_memory, None)
             .unwrap();
         assert_eq!(fresh_memory.model_rebuilds, 1);
         assert_bit_identical(&patched, &fresh);
@@ -2022,7 +1999,7 @@ mod tests {
             PlanOptimizer::with_timeout(Duration::from_secs(5)).with_model_patch_budget(1);
         let mut memory = SolverMemory::new();
         optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         c.add_node(Node::new(
             NodeId(4),
@@ -2041,7 +2018,7 @@ mod tests {
         vjobs.push(Vjob::new(VjobId(4), vec![VmId(8), VmId(9)], 4));
         let decision = decide(&c, &vjobs);
         let rebuilt = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_rebuilds, 2, "over budget: rebuild, not patch");
         assert_eq!(memory.model_patches, 0);
@@ -2049,7 +2026,7 @@ mod tests {
 
         let mut fresh_memory = SolverMemory::new();
         let fresh = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut fresh_memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut fresh_memory, None)
             .unwrap();
         assert_bit_identical(&rebuilt, &fresh);
     }
@@ -2061,7 +2038,7 @@ mod tests {
         let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5));
         let mut memory = SolverMemory::new();
         optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         let vars_after_build = memory.cached.as_ref().unwrap().model.var_count();
         assert_eq!(vars_after_build, 8);
@@ -2073,7 +2050,7 @@ mod tests {
             .decide(&c, &vjobs, &completed)
             .unwrap();
         optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_set_diff_patches, 1);
         let cached = memory.cached.as_ref().unwrap();
@@ -2095,7 +2072,7 @@ mod tests {
             .decide(&c, &vjobs, &completed)
             .unwrap();
         let patched = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut memory, None)
             .unwrap();
         assert_eq!(memory.model_rebuilds, 1);
         assert_eq!(memory.model_set_diff_patches, 2);
@@ -2105,7 +2082,7 @@ mod tests {
 
         let mut fresh_memory = SolverMemory::new();
         let fresh = optimizer
-            .optimize_full(&c, &decision, &vjobs, Some(&mut fresh_memory), None)
+            .optimize_full(&c, &decision, &vjobs, &mut fresh_memory, None)
             .unwrap();
         assert_bit_identical(&patched, &fresh);
     }

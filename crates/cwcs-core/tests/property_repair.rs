@@ -11,6 +11,10 @@
 //!   than today" contract;
 //! * produce a viable target and a valid plan.
 //!
+//! In both modes the one-shot [`PlanOptimizer::optimize`] must also equal
+//! the first tick of an incremental solve driven through the simulated
+//! cluster, its monitoring service and a fresh view and memory.
+//!
 //! A lockstep control-loop test then drives the same scenario to completion
 //! under both modes and checks that the committed vjob states agree at every
 //! iteration.
@@ -22,12 +26,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use cwcs_core::{
-    ControlLoop, ControlLoopConfig, DecisionModule, FcfsConsolidation, OptimizerMode, PlanOptimizer,
+    ControlLoop, ControlLoopConfig, Decision, DecisionModule, FcfsConsolidation, OptimizedOutcome,
+    OptimizerMode, PlanOptimizer, SolverMemory,
 };
 use cwcs_model::{
     Configuration, CpuCapacity, MemoryMib, Node, NodeId, ResourceDemand, SmallRng, Vjob, VjobId,
     VjobState, Vm, VmAssignment, VmId, VmState,
 };
+use cwcs_sim::monitor::{ClusterView, MonitoringService};
+use cwcs_sim::SimulatedCluster;
 use cwcs_workload::{VjobSpec, VmWorkProfile, WorkPhase};
 
 const CASES: usize = 64;
@@ -132,6 +139,27 @@ fn try_scenario(rng: &mut SmallRng) -> Option<(Configuration, Vec<Vjob>)> {
     Some((config, vjobs))
 }
 
+/// The first tick of an incremental solve over `config`: the monitoring
+/// service's first (full) observation of a simulated cluster, applied to a
+/// fresh view and synced into fresh memory.
+fn first_incremental_tick(
+    optimizer: &PlanOptimizer,
+    config: &Configuration,
+    decision: &Decision,
+    vjobs: &[Vjob],
+) -> OptimizedOutcome {
+    let mut cluster = SimulatedCluster::new(config.clone());
+    let delta = MonitoringService::default().observe(&mut cluster);
+    assert!(delta.full, "a cluster's first observation is full");
+    let mut view = ClusterView::new();
+    view.apply(&delta);
+    let mut memory = SolverMemory::new();
+    optimizer.sync_memory(&mut memory, &delta, cluster.configuration());
+    optimizer
+        .optimize_incremental(&mut memory, &view, cluster.configuration(), decision, vjobs)
+        .unwrap()
+}
+
 fn scenario(rng: &mut SmallRng) -> (Configuration, Vec<Vjob>) {
     loop {
         if let Some(s) = try_scenario(rng) {
@@ -157,6 +185,29 @@ fn repair_matches_full_states_and_honours_the_incumbent() {
         let repair = optimizer(OptimizerMode::repair())
             .optimize(&config, &decision, &vjobs)
             .unwrap();
+
+        // The one-shot solve is the first tick of an incremental one: same
+        // target, same plan cost, same search tree.
+        for (mode, one_shot) in [
+            (OptimizerMode::Full, &full),
+            (OptimizerMode::repair(), &repair),
+        ] {
+            let tick = first_incremental_tick(&optimizer(mode), &config, &decision, &vjobs);
+            assert_eq!(one_shot.target, tick.target, "{mode:?}: target diverged");
+            assert_eq!(
+                one_shot.cost.total, tick.cost.total,
+                "{mode:?}: cost diverged"
+            );
+            let search = |o: &OptimizedOutcome| {
+                (
+                    o.stats.nodes,
+                    o.stats.failures,
+                    o.stats.solutions,
+                    o.stats.completed,
+                )
+            };
+            assert_eq!(search(one_shot), search(&tick), "{mode:?}: search diverged");
+        }
 
         // Both targets implement the same decided vjob set: every VM ends up
         // in the same state (hosts may legitimately differ).
@@ -243,7 +294,7 @@ fn repair_and_full_loops_decide_identically_on_small_scenarios() {
         let (config, vjobs) = scenario(&mut rng);
         let specs = specs_for(&config, &vjobs, 90.0);
         let build = |mode: OptimizerMode| {
-            let cluster = cwcs_sim::SimulatedCluster::new(config.clone());
+            let cluster = SimulatedCluster::new(config.clone());
             let loop_config = ControlLoopConfig {
                 period_secs: 30.0,
                 optimizer: optimizer(mode),

@@ -46,8 +46,8 @@
 use std::collections::BTreeMap;
 
 use cwcs_model::{
-    CpuCapacity, MemoryMib, NetBandwidth, NodeId, ResourceDemand, ResourceUsage, VjobId, VmId,
-    VmState,
+    Configuration, CpuCapacity, MemoryMib, NetBandwidth, NodeId, ResourceDemand, ResourceUsage,
+    VjobId, VmId, VmState,
 };
 
 use crate::cluster::SimulatedCluster;
@@ -95,6 +95,20 @@ pub struct VmObservation {
 }
 
 impl VmObservation {
+    /// Observe `vm` in `config` (`None` when the VM is unknown).
+    pub fn of(config: &Configuration, vm: VmId) -> Option<Self> {
+        let v = config.vm(vm).ok()?;
+        let a = config.assignment(vm).ok()?;
+        Some(VmObservation {
+            cpu: v.cpu,
+            memory: v.memory,
+            net: v.net,
+            state: a.state,
+            host: a.host,
+            image: a.image,
+        })
+    }
+
     /// The VM's observed demand vector.
     pub fn demand(&self) -> ResourceDemand {
         ResourceDemand::new(self.cpu, self.memory).with_net(self.net)
@@ -128,6 +142,25 @@ pub struct ObservationDelta {
 }
 
 impl ObservationDelta {
+    /// A full observation of `config`: every VM and every node, stamped
+    /// version 0 at time 0, with no completions.  Applied to a fresh
+    /// [`ClusterView`], it builds the view of `config`;
+    /// [`MonitoringService::observe`] takes its full observations from it.
+    pub fn full_of(config: &Configuration) -> Self {
+        ObservationDelta {
+            from_version: 0,
+            version: 0,
+            time_secs: 0.0,
+            full: true,
+            vms: config
+                .vms()
+                .filter_map(|v| VmObservation::of(config, v.id).map(|obs| (v.id, obs)))
+                .collect(),
+            node_capacities: config.nodes().map(|n| (n.id, n.capacity())).collect(),
+            completed_vjobs: Vec::new(),
+        }
+    }
+
     /// True when the delta carries no change at all (a within-refresh-period
     /// observation, or genuinely nothing happened).
     pub fn is_empty(&self) -> bool {
@@ -353,41 +386,23 @@ impl MonitoringService {
         let from_version = self.last_version;
         let changes = cluster.drain_changes();
         let config = cluster.configuration();
-        let mut vms = BTreeMap::new();
-        let mut node_capacities = BTreeMap::new();
-        let observe_vm = |vm: VmId| -> Option<VmObservation> {
-            let v = config.vm(vm).ok()?;
-            let a = config.assignment(vm).ok()?;
-            Some(VmObservation {
-                cpu: v.cpu,
-                memory: v.memory,
-                net: v.net,
-                state: a.state,
-                host: a.host,
-                image: a.image,
-            })
-        };
-        if changes.full {
-            for v in config.vms() {
-                if let Some(obs) = observe_vm(v.id) {
-                    vms.insert(v.id, obs);
-                }
-            }
-            for n in config.nodes() {
-                node_capacities.insert(n.id, n.capacity());
-            }
+        let (vms, node_capacities) = if changes.full {
+            let full = ObservationDelta::full_of(config);
+            (full.vms, full.node_capacities)
         } else {
-            for &vm in &changes.vms {
-                if let Some(obs) = observe_vm(vm) {
-                    vms.insert(vm, obs);
-                }
-            }
-            for &node in &changes.nodes {
-                if let Ok(n) = config.node(node) {
-                    node_capacities.insert(node, n.capacity());
-                }
-            }
-        }
+            (
+                changes
+                    .vms
+                    .iter()
+                    .filter_map(|&vm| VmObservation::of(config, vm).map(|obs| (vm, obs)))
+                    .collect(),
+                changes
+                    .nodes
+                    .iter()
+                    .filter_map(|&node| config.node(node).ok().map(|n| (node, n.capacity())))
+                    .collect(),
+            )
+        };
         self.last_refresh_at = Some(now);
         self.last_version = changes.version;
         self.last_time = now;

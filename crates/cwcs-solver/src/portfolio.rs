@@ -3,12 +3,11 @@
 //!
 //! The placement solves of the paper are *anytime*: whatever the search can
 //! prove inside its 5 s window is what the control loop executes.  The
-//! first portfolio (PR 4) raced `N` *duplicated* trees — cheap to build,
-//! but the workers mostly re-explored each other's space.  The portfolio is
-//! now **partitioned**: the value choices of the *root* decision are dealt
-//! round-robin across the workers, so the initial frontiers are disjoint
-//! and the union of the workers' trees is exactly the serial tree, explored
-//! once instead of `N` times.
+//! portfolio is **partitioned**: the value choices of the *root* decision
+//! are dealt round-robin across the workers, so the initial frontiers are
+//! disjoint and the union of the workers' trees is exactly the serial tree,
+//! explored once — not `N` times, as racing `N` duplicated, diversified
+//! copies of the serial search would.
 //!
 //! # Partition / steal protocol
 //!
@@ -28,20 +27,17 @@
 //! * A shared `pending` counter tracks checkpoints published but not yet
 //!   fully explored.  The search space is globally exhausted — optimality
 //!   is **proven** — exactly when `pending` reaches zero and no worker
-//!   stopped early.  This replaces the duplicated-race rule "any completed
-//!   worker proves the optimum", which is *unsound* under partitioning: one
-//!   worker finishing its own slice proves nothing about the others'.
+//!   stopped early.  One worker finishing its own slice proves nothing
+//!   about the others'.
 //!
 //! # Why the shared bound stays sound
 //!
-//! All timed workers still prune against the PR-4 [`SharedBound`]: every
-//! improving cost is published with a `fetch_min`, and each worker prunes
-//! against the minimum of its local incumbent and the published bound.  The
-//! bound only ever decreases, so pruning against a stale (larger) read is
-//! sound — the pruned subtree cannot contain anything cheaper than the
-//! final bound either.  That argument never depended on the workers'
-//! trees being identical, so it survives partitioning unchanged; only the
-//! *completion* rule had to change (see above).
+//! All timed workers prune against a [`SharedBound`]: every improving cost
+//! is published with a `fetch_min`, and each worker prunes against the
+//! minimum of its local incumbent and the published bound.  The bound only
+//! ever decreases, so pruning against a stale (larger) read is sound — the
+//! pruned subtree cannot contain anything cheaper than the final bound
+//! either, whichever worker's slice it belongs to.
 //!
 //! # Diversification
 //!
@@ -75,11 +71,9 @@
 //! fixed node budget with stealing and the shared bound disabled, and the
 //! winner is the `(cost, worker id)` minimum.  The outcome is a pure
 //! function of the model and the configuration, whatever the machine or
-//! the scheduling.  A 1-worker portfolio short-circuits to the plain
-//! [`Search`] and is bit-identical to it, statistics included.
-//!
-//! The duplicated race of PR 4 is kept as [`RaceStrategy::Duplicated`] so
-//! benchmarks can A/B the two protocols in one binary.
+//! the scheduling.  Outside that mode the race always steals.  A 1-worker
+//! portfolio short-circuits to the plain [`Search`] and is bit-identical to
+//! it, statistics included.
 
 use std::thread;
 use std::time::Instant;
@@ -89,34 +83,11 @@ use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use crate::deque::{work_deque, DequeStealer, DequeWorker, Steal};
 use crate::propagator::{propagate_to_fixpoint, Propagator};
 use crate::search::{
-    luby, MinimizeOutcome, Objective, Search, SearchConfig, SearchStats, SharedBound, Solution,
-    SubtreeCheckpoint, ValueSelection,
+    luby, Objective, Search, SearchConfig, SearchStats, SharedBound, Solution, SubtreeCheckpoint,
+    ValueSelection,
 };
 use crate::store::{DomainStore, Model, VarId};
 use std::sync::Arc;
-
-/// How the workers divide the search space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RaceStrategy {
-    /// Every worker races the full tree with a rotated value ordering (the
-    /// PR-4 protocol).  Kept for A/B comparison; one completed worker
-    /// proves global optimality here, because every tree is the whole
-    /// space.
-    Duplicated,
-    /// Root values are partitioned across workers (disjoint frontiers);
-    /// with `steal` set, idle workers steal frozen subtrees from busy
-    /// ones.  Stealing is always disabled in deterministic mode.
-    Partitioned {
-        /// Enable work stealing between the partitions.
-        steal: bool,
-    },
-}
-
-impl Default for RaceStrategy {
-    fn default() -> Self {
-        RaceStrategy::Partitioned { steal: true }
-    }
-}
 
 /// Tuning of a [`PortfolioSearch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,8 +98,6 @@ pub struct PortfolioConfig {
     /// shared bound, fixed per-worker node budgets, `(cost, worker id)`
     /// winner (see the module docs).
     pub deterministic: bool,
-    /// How the workers divide the space.
-    pub strategy: RaceStrategy,
     /// Optional second incumbent (a complete assignment, e.g. a first-fit
     /// decreasing packing) seeded into the FFD rider worker.
     pub ffd_incumbent: Option<Vec<u32>>,
@@ -141,7 +110,6 @@ impl Default for PortfolioConfig {
         PortfolioConfig {
             workers: 1,
             deterministic: false,
-            strategy: RaceStrategy::default(),
             ffd_incumbent: None,
             seed: 0x9E37_79B9_7F4A_7C15,
         }
@@ -161,8 +129,7 @@ impl PortfolioConfig {
 /// The diversification role a worker plays in a partitioned race.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WorkerRole {
-    /// Canonical heuristics (worker 0, and every worker of a duplicated
-    /// race).
+    /// Canonical heuristics (worker 0).
     #[default]
     Canonical,
     /// Canonical heuristics with the value ordering rotated by the worker
@@ -197,8 +164,7 @@ pub struct WorkerReport {
     pub stats: SearchStats,
     /// Best cost the worker found locally, if any.
     pub best_cost: Option<i64>,
-    /// Root values initially assigned to this worker (0 in a duplicated
-    /// race, where every worker owns the whole root domain).
+    /// Root values initially assigned to this worker.
     pub root_values: usize,
     /// Subtree checkpoints this worker explored (slice + own + stolen).
     pub subtrees: u64,
@@ -217,7 +183,7 @@ pub struct PortfolioStats {
     /// Index of the winning worker (`None` when no worker found a
     /// solution).  Ties are broken by the smallest worker index.
     pub winner: Option<usize>,
-    /// Workers sharing the root partition (0 for a duplicated race).
+    /// Workers sharing the root partition.
     pub partition_workers: usize,
     /// Total checkpoints stolen across the race.
     pub steals_total: u64,
@@ -243,7 +209,7 @@ pub struct PortfolioOutcome {
     pub best_cost: Option<i64>,
     /// Aggregate statistics: node/failure/solution/restart counts summed
     /// over the workers, `completed` when the race proved optimality (see
-    /// the module docs for what that means per strategy), `incumbent_kept`
+    /// the module docs), `incumbent_kept`
     /// from the winning worker, `elapsed_ms` the race's wall-clock time.
     pub stats: SearchStats,
     /// The race breakdown: per-worker statistics and the winner.
@@ -456,12 +422,6 @@ impl<'a, O: Objective> Worker<'a, O> {
     fn limits_reached(&mut self) -> bool {
         if self.stopped {
             return true;
-        }
-        if let Some(shared) = &self.config.shared {
-            if shared.is_cancelled() {
-                self.stopped = true;
-                return true;
-            }
         }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
@@ -753,8 +713,8 @@ struct WorkerOutcome {
 impl<'m> PortfolioSearch<'m> {
     /// Build a portfolio over `model`.  `base` carries the heuristics and
     /// limits every worker shares (timeout, node budget, incumbent,
-    /// restarts); the portfolio configuration picks the strategy and the
-    /// rider seeds.
+    /// restarts); the portfolio configuration picks the worker count, the
+    /// reduction mode and the rider seeds.
     pub fn new(model: &'m Model, base: SearchConfig, config: PortfolioConfig) -> Self {
         PortfolioSearch {
             model,
@@ -770,13 +730,7 @@ impl<'m> PortfolioSearch<'m> {
         if workers == 1 {
             return self.run_serial(objective);
         }
-        match self.config.strategy {
-            RaceStrategy::Duplicated => self.race_duplicated(objective, workers),
-            RaceStrategy::Partitioned { steal } => {
-                let steal = steal && !self.config.deterministic;
-                self.race_partitioned(objective, workers, steal)
-            }
-        }
+        self.race_partitioned(objective, workers)
     }
 
     /// 1-worker portfolio: exactly the plain search, bit-identical.
@@ -801,103 +755,7 @@ impl<'m> PortfolioSearch<'m> {
             portfolio: PortfolioStats {
                 workers: vec![report],
                 winner,
-                partition_workers: match self.config.strategy {
-                    RaceStrategy::Duplicated => 0,
-                    RaceStrategy::Partitioned { .. } => 1,
-                },
-                steals_total: 0,
-                donated_total: 0,
-                elapsed_ms: start.elapsed().as_millis() as u64,
-            },
-        }
-    }
-
-    /// The PR-4 protocol: race duplicated, diversified copies of the serial
-    /// search.  Any completed worker proves global optimality (its tree is
-    /// the full space) and cancels the rest.
-    fn race_duplicated<O: Objective + Sync>(
-        &self,
-        objective: &O,
-        workers: usize,
-    ) -> PortfolioOutcome {
-        let start = Instant::now();
-        let shared = (!self.config.deterministic).then(SharedBound::new);
-
-        let outcomes: Vec<MinimizeOutcome> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let mut config = self.base.clone();
-                    config.diversify = self.base.diversify + worker as u64;
-                    config.shared = shared.clone();
-                    let model = self.model;
-                    let shared = shared.clone();
-                    scope.spawn(move || {
-                        let outcome = Search::new(model, config).minimize(objective);
-                        if outcome.stats.completed {
-                            if let Some(shared) = &shared {
-                                shared.cancel();
-                            }
-                        }
-                        outcome
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("portfolio worker panicked"))
-                .collect()
-        });
-
-        let winner = outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(worker, outcome)| outcome.best_cost.map(|cost| (cost, worker)))
-            .min()
-            .map(|(_, worker)| worker);
-
-        let mut stats = SearchStats {
-            elapsed_ms: start.elapsed().as_millis() as u64,
-            ..Default::default()
-        };
-        let mut reports = Vec::with_capacity(outcomes.len());
-        for (worker, outcome) in outcomes.iter().enumerate() {
-            stats.nodes += outcome.stats.nodes;
-            stats.failures += outcome.stats.failures;
-            stats.solutions += outcome.stats.solutions;
-            stats.restarts += outcome.stats.restarts;
-            stats.completed |= outcome.stats.completed;
-            reports.push(WorkerReport {
-                worker,
-                role: if worker == 0 {
-                    WorkerRole::Canonical
-                } else {
-                    WorkerRole::Rotated
-                },
-                stats: outcome.stats.clone(),
-                best_cost: outcome.best_cost,
-                root_values: 0,
-                subtrees: 0,
-                steals: 0,
-                donated: 0,
-            });
-        }
-        if let Some(winner) = winner {
-            stats.incumbent_kept = outcomes[winner].stats.incumbent_kept;
-            stats.final_run = outcomes[winner].stats.final_run;
-        }
-
-        let (best, best_cost) = match winner {
-            Some(winner) => (outcomes[winner].best.clone(), outcomes[winner].best_cost),
-            None => (None, None),
-        };
-        PortfolioOutcome {
-            best,
-            best_cost,
-            stats,
-            portfolio: PortfolioStats {
-                workers: reports,
-                winner,
-                partition_workers: 0,
+                partition_workers: 1,
                 steals_total: 0,
                 donated_total: 0,
                 elapsed_ms: start.elapsed().as_millis() as u64,
@@ -910,7 +768,6 @@ impl<'m> PortfolioSearch<'m> {
         &self,
         objective: &O,
         workers: usize,
-        steal: bool,
     ) -> PortfolioOutcome {
         let start = Instant::now();
         let shared = (!self.config.deterministic).then(SharedBound::new);
@@ -1024,7 +881,7 @@ impl<'m> PortfolioSearch<'m> {
                             own,
                             own_top,
                             victims,
-                            steal_enabled: steal,
+                            steal_enabled: !self.config.deterministic,
                             deadline,
                             rng: matches!(role, WorkerRole::Randomized)
                                 .then(|| XorShift::new(self.config.seed ^ (id as u64) << 32)),
@@ -1269,26 +1126,6 @@ mod tests {
             .map(|w| w.root_values)
             .sum();
         assert_eq!(covered, 3, "the root domain is fully dealt out");
-    }
-
-    #[test]
-    fn duplicated_race_still_finds_the_proven_optimum() {
-        let (m, vars) = packing_model();
-        let objective = packing_objective(vars);
-        let config = SearchConfig {
-            restarts: Some(RestartPolicy::luby(1)),
-            ..Default::default()
-        };
-        let portfolio = PortfolioConfig {
-            workers: 4,
-            strategy: RaceStrategy::Duplicated,
-            ..Default::default()
-        };
-        let outcome = PortfolioSearch::new(&m, config, portfolio).minimize(&objective);
-        assert_eq!(outcome.best_cost, Some(13));
-        assert!(outcome.stats.completed);
-        assert_eq!(outcome.portfolio.partition_workers, 0);
-        assert_eq!(outcome.portfolio.steals_total, 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::sync::{AtomicBool, AtomicI64, Ordering};
+use crate::sync::{AtomicI64, Ordering};
 
 use crate::propagator::{propagate_to_fixpoint, Inconsistency, Propagator};
 use crate::store::{DomainStore, Model, VarId};
@@ -77,8 +77,7 @@ impl SubtreeCheckpoint {
 
 /// State shared by the racing runs of a portfolio search (see
 /// [`crate::portfolio`]): the best cost found by *any* run, used as an extra
-/// branch & bound pruning bound, and a cooperative cancellation flag raised
-/// once some run proves optimality.
+/// branch & bound pruning bound.
 ///
 /// The bound only ever decreases (`publish` is a `fetch_min`), so pruning
 /// against a stale read is always sound: a subtree pruned because its lower
@@ -88,8 +87,6 @@ impl SubtreeCheckpoint {
 pub struct SharedBound {
     /// Best cost published so far; `i64::MAX` encodes "none yet".
     bound: Arc<AtomicI64>,
-    /// Raised to stop every run sharing this bound.
-    cancel: Arc<AtomicBool>,
 }
 
 impl Default for SharedBound {
@@ -103,7 +100,6 @@ impl SharedBound {
     pub fn new() -> Self {
         SharedBound {
             bound: Arc::new(AtomicI64::new(i64::MAX)),
-            cancel: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -122,19 +118,6 @@ impl SharedBound {
         // the true minimum; readers tolerate staleness (see `best_cost`).
         // `tests/model_check.rs` checks monotonicity under this ordering.
         self.bound.fetch_min(cost, Ordering::Relaxed);
-    }
-
-    /// Ask every run sharing this bound to stop.
-    pub fn cancel(&self) {
-        // relaxed: a pure flag — no data is published through it, and a
-        // worker observing it late only explores a little longer.
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// True once [`SharedBound::cancel`] was called.
-    pub fn is_cancelled(&self) -> bool {
-        // relaxed: see `cancel`.
-        self.cancel.load(Ordering::Relaxed)
     }
 }
 
@@ -296,8 +279,7 @@ pub struct SearchConfig {
     /// distinct indices explore genuinely different prefixes.
     pub diversify: u64,
     /// Portfolio state shared with concurrent runs: an extra pruning bound
-    /// fed by every run's improving solutions and a cancellation flag; see
-    /// [`crate::portfolio`].  `None` outside portfolio races.
+    /// fed by every run's improving solutions; see [`crate::portfolio`].  `None` outside portfolio races.
     pub shared: Option<SharedBound>,
 }
 
@@ -519,12 +501,6 @@ impl<'m> Search<'m> {
     fn limits_reached(state: &mut SearchState) -> bool {
         if state.stopped {
             return true;
-        }
-        if let Some(shared) = &state.config.shared {
-            if shared.is_cancelled() {
-                state.stopped = true;
-                return true;
-            }
         }
         if let Some(deadline) = state.deadline {
             if Instant::now() >= deadline {

@@ -33,7 +33,7 @@ use std::time::Duration;
 use cwcs_core::control_loop::LoopError;
 use cwcs_core::{
     BaselineReport, ControlLoop, ControlLoopConfig, DecisionModule, FcfsConsolidation,
-    IterationReport, OptimizerMode, PackingPolicy, RunReport, StaticFcfsBaseline,
+    IterationReport, RunReport, StaticFcfsBaseline,
 };
 use cwcs_model::{Configuration, ModelError, Node, Vjob};
 use cwcs_sim::{DurationModel, ExecutionMode, SimulatedCluster};
@@ -72,11 +72,10 @@ impl From<ModelError> for EngineError {
 ///
 /// Solver and observation tuning come as grouped configs —
 /// [`solver`](EngineBuilder::solver) takes a [`SolverConfig`] (timeout,
-/// optimizer mode, workers, packing policy, warm start, execution mode) and
+/// optimizer mode, workers, packing policy, warm start) and
 /// [`observation`](EngineBuilder::observation) an [`ObservationConfig`]
-/// (monitoring refresh period, delta vs. full-resync).  The historical flat
-/// setters (`optimizer_mode`, `solver_workers`, …) remain as deprecated
-/// shims over the same fields.
+/// (monitoring refresh period, delta vs. full-resync).  How switches are
+/// executed is set with [`execution_mode`](EngineBuilder::execution_mode).
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     nodes: Vec<Node>,
@@ -84,6 +83,7 @@ pub struct EngineBuilder {
     period_secs: f64,
     solver: SolverConfig,
     observation: ObservationConfig,
+    execution_mode: ExecutionMode,
     max_iterations: usize,
     durations: Option<DurationModel>,
 }
@@ -96,6 +96,7 @@ impl Default for EngineBuilder {
             period_secs: 30.0,
             solver: SolverConfig::default().with_timeout(Duration::from_millis(500)),
             observation: ObservationConfig::default(),
+            execution_mode: ExecutionMode::default(),
             max_iterations: 2_000,
             durations: None,
         }
@@ -134,8 +135,8 @@ impl EngineBuilder {
     }
 
     /// Configure the solver stage: optimizer timeout, mode, deterministic
-    /// node budget, portfolio workers, packing policy, warm start and the
-    /// execution mode, grouped in one [`SolverConfig`].
+    /// node budget, portfolio workers, packing policy and warm start,
+    /// grouped in one [`SolverConfig`].
     ///
     /// The packing policy always configures the optimizer.  The decision
     /// module is configured too when the engine is assembled with
@@ -157,41 +158,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Time budget of the constraint-programming optimizer per iteration.
-    #[deprecated(note = "use `solver(SolverConfig::default().with_timeout(..))`")]
-    pub fn optimizer_timeout(mut self, timeout: Duration) -> Self {
-        self.solver.timeout = timeout;
-        self
-    }
-
-    /// Scope of the placement problem (full re-solve or repair).
-    #[deprecated(note = "use `solver(SolverConfig::default().with_mode(..))`")]
-    pub fn optimizer_mode(mut self, mode: OptimizerMode) -> Self {
-        self.solver.mode = mode;
-        self
-    }
-
-    /// Deterministic search budget (maximum search nodes per solve).
-    #[deprecated(note = "use `solver(SolverConfig::default().with_node_limit(..))`")]
-    pub fn optimizer_node_limit(mut self, node_limit: u64) -> Self {
-        self.solver.node_limit = Some(node_limit);
-        self
-    }
-
-    /// Number of portfolio workers racing each placement solve.
-    #[deprecated(note = "use `solver(SolverConfig::default().with_workers(..))`")]
-    pub fn solver_workers(mut self, workers: usize) -> Self {
-        self.solver.workers = workers.max(1);
-        self
-    }
-
-    /// How booting (waiting) VMs are budgeted when packing.
-    #[deprecated(note = "use `solver(SolverConfig::default().with_packing_policy(..))`")]
-    pub fn packing_policy(mut self, policy: PackingPolicy) -> Self {
-        self.solver.packing = policy;
-        self
-    }
-
     /// Safety bound on the number of iterations of [`Engine::run`].
     pub fn max_iterations(mut self, max_iterations: usize) -> Self {
         self.max_iterations = max_iterations;
@@ -207,9 +173,8 @@ impl EngineBuilder {
 
     /// How context switches are executed: event-driven (the default) or the
     /// paper's sequential pool-barrier semantics.
-    #[deprecated(note = "use `solver(SolverConfig::default().with_execution_mode(..))`")]
     pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.solver.execution_mode = mode;
+        self.execution_mode = mode;
         self
     }
 
@@ -231,6 +196,17 @@ impl EngineBuilder {
         Ok(configuration)
     }
 
+    /// The control-loop configuration the builder describes.
+    fn loop_config(&self) -> ControlLoopConfig {
+        ControlLoopConfig {
+            period_secs: self.period_secs,
+            optimizer: self.solver.build_optimizer(),
+            max_iterations: self.max_iterations,
+            execution_mode: self.execution_mode,
+            observation: self.observation,
+        }
+    }
+
     /// Build an engine driven by the paper's sample FCFS dynamic-consolidation
     /// decision module.
     pub fn build(self) -> Result<Engine<FcfsConsolidation>, EngineError> {
@@ -248,14 +224,7 @@ impl EngineBuilder {
         if let Some(durations) = self.durations {
             cluster = cluster.with_durations(durations);
         }
-        let config = ControlLoopConfig {
-            period_secs: self.period_secs,
-            optimizer: self.solver.build_optimizer(),
-            max_iterations: self.max_iterations,
-            execution_mode: self.solver.execution_mode,
-            observation: self.observation,
-        };
-        let control = ControlLoop::new(cluster, &self.specs, decision, config);
+        let control = ControlLoop::new(cluster, &self.specs, decision, self.loop_config());
         Ok(Engine {
             initial_configuration: configuration,
             specs: self.specs,
@@ -450,11 +419,8 @@ mod tests {
                 )
                 .vjob(spec(0, 0, 2, 60.0))
                 .vjob(spec(1, 2, 2, 60.0))
-                .solver(
-                    SolverConfig::default()
-                        .with_timeout(Duration::from_millis(200))
-                        .with_execution_mode(mode),
-                )
+                .solver(SolverConfig::default().with_timeout(Duration::from_millis(200)))
+                .execution_mode(mode)
                 .build()
                 .unwrap()
         };
@@ -471,21 +437,17 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_flat_setters_steer_the_grouped_config() {
-        let builder = Engine::builder()
-            .optimizer_timeout(Duration::from_millis(123))
-            .optimizer_mode(OptimizerMode::Repair(Default::default()))
-            .optimizer_node_limit(4_096)
-            .solver_workers(3)
-            .packing_policy(PackingPolicy::Observed)
-            .execution_mode(ExecutionMode::EventDriven);
-        assert_eq!(builder.solver.timeout, Duration::from_millis(123));
-        assert!(matches!(builder.solver.mode, OptimizerMode::Repair(_)));
-        assert_eq!(builder.solver.node_limit, Some(4_096));
-        assert_eq!(builder.solver.workers, 3);
-        assert_eq!(builder.solver.packing, PackingPolicy::Observed);
-        assert_eq!(builder.solver.execution_mode, ExecutionMode::EventDriven);
+    fn builder_execution_mode_reaches_the_loop_config() {
+        let builder = Engine::builder();
+        assert_eq!(
+            builder.loop_config().execution_mode,
+            ExecutionMode::EventDriven
+        );
+        let builder = builder.execution_mode(ExecutionMode::PoolBarrier);
+        assert_eq!(
+            builder.loop_config().execution_mode,
+            ExecutionMode::PoolBarrier
+        );
     }
 
     #[test]
