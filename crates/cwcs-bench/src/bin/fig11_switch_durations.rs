@@ -17,19 +17,13 @@
 use std::time::Duration;
 
 use cwcs_bench::{
-    cluster_experiment, deterministic_mode, entropy_run_with, write_artifact, JsonObject,
+    cluster_experiment, deterministic_mode, entropy_run_with, env_usize, write_artifact, JsonObject,
 };
 use cwcs_core::PlanOptimizer;
 
 fn main() {
-    let timeout_ms: u64 = std::env::var("CWCS_OPT_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
-    let workers: usize = std::env::var("CWCS_SOLVER_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let timeout_ms = env_usize("CWCS_OPT_TIMEOUT_MS", 500) as u64;
+    let workers = env_usize("CWCS_SOLVER_WORKERS", 1);
     let deterministic = deterministic_mode();
     let scenario = cluster_experiment(7);
     println!(

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use cwcs_bench::{cluster_experiment, entropy_run, static_fcfs_run};
+use cwcs_bench::{cluster_experiment, entropy_run, env_usize, static_fcfs_run};
 use cwcs_sim::UtilizationSample;
 
 /// Resample a utilization series at a fixed interval (linear-hold).
@@ -34,10 +34,7 @@ fn resample(
 }
 
 fn main() {
-    let timeout_ms: u64 = std::env::var("CWCS_OPT_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
+    let timeout_ms = env_usize("CWCS_OPT_TIMEOUT_MS", 500) as u64;
     let scenario = cluster_experiment(7);
     println!(
         "Figure 13: resource utilization, Entropy vs FCFS ({} vjobs, {} VMs, {} nodes)",

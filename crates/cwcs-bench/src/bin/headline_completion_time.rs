@@ -12,16 +12,13 @@
 use std::time::Duration;
 
 use cwcs_bench::{
-    cluster_experiment, deterministic_mode, entropy_run_with, percent_reduction, static_fcfs_run,
-    write_artifact, JsonObject,
+    cluster_experiment, deterministic_mode, entropy_run_with, env_usize, percent_reduction,
+    static_fcfs_run, write_artifact, JsonObject,
 };
 use cwcs_core::PlanOptimizer;
 
 fn main() {
-    let timeout_ms: u64 = std::env::var("CWCS_OPT_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
+    let timeout_ms = env_usize("CWCS_OPT_TIMEOUT_MS", 500) as u64;
     let scenario = cluster_experiment(7);
     println!(
         "Headline experiment: {} vjobs ({} VMs) on {} nodes",

@@ -164,6 +164,18 @@ fn main() {
     let changed_vms_total: usize = reports.iter().map(|it| it.observation.changed_vms).sum();
     let changed_nodes_total: usize = reports.iter().map(|it| it.observation.changed_nodes).sum();
     let completed_vjobs: usize = reports.iter().map(|it| it.completed_vjobs.len()).sum();
+    // The search tree's fingerprint: under the deterministic node budget
+    // these are exact, so a kernel change that moves the tree shows here.
+    let search_nodes_total: u64 = reports.iter().map(|it| it.solve.search_stats.nodes).sum();
+    let search_failures_total: u64 = reports
+        .iter()
+        .map(|it| it.solve.search_stats.failures)
+        .sum();
+    let plan_cost_total: u64 = reports
+        .iter()
+        .filter_map(|it| it.switch.plan_cost.as_ref())
+        .map(|c| c.total)
+        .sum();
     let movable_max = reports
         .iter()
         .filter_map(|it| it.solve.repair_stats.as_ref())
@@ -196,6 +208,12 @@ fn main() {
         "  of which set-diff patches", model_set_diff_patches
     );
     println!("{:<44} {:>12}", "placement models rebuilt", model_rebuilds);
+    println!("{:<44} {:>12}", "search nodes (total)", search_nodes_total);
+    println!(
+        "{:<44} {:>12}",
+        "search failures (total)", search_failures_total
+    );
+    println!("{:<44} {:>12}", "plan cost (total)", plan_cost_total);
     println!("{:<44} {:>12.1}", "max decide (ms)", max_decide_ms);
     println!("{:<44} {:>12.1}", "mean decide (ms)", mean_decide_ms);
     println!("{:<44} {:>12.1}", "max view patch (ms)", max_patch_ms);
@@ -314,6 +332,9 @@ fn main() {
         .integer("model_patches", model_patches)
         .integer("model_set_diff_patches", model_set_diff_patches)
         .integer("model_rebuilds", model_rebuilds)
+        .integer("search_nodes_total", search_nodes_total)
+        .integer("search_failures_total", search_failures_total)
+        .integer("plan_cost_total", plan_cost_total)
         .boolean_unless("decides_under_1s", max_decide_ms < 1_000.0, deterministic)
         .number_unless("max_decide_ms", max_decide_ms, deterministic)
         .number_unless("mean_decide_ms", mean_decide_ms, deterministic)

@@ -406,6 +406,13 @@ static STREAMING_RULES: &[KeyRule] = &[
     exact("context_switches"),
     growth("plan_actions_total", 1.25, 100.0),
     info("completed_vjobs"),
+    // The search tree itself: node and failure counts plus the cost of the
+    // executed plans.  A solver-kernel change (domains, propagators,
+    // bounds) must leave all three untouched; any drift means it changed
+    // what the search explores, not just how fast.
+    exact("search_nodes_total"),
+    exact("search_failures_total"),
+    exact("plan_cost_total"),
     // Timed runs only (`compare` skips keys absent on both sides): the
     // sub-second decide ceiling, also asserted in-binary by the benchmark.
     exact("decides_under_1s"),

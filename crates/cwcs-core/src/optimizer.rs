@@ -938,17 +938,32 @@ impl PlanOptimizer {
                 .sum()
         };
         let objective_vars_lb = var_ids.clone();
+        // Each VM's globally cheapest node and its cost: while that node is
+        // still a candidate it is also the cheapest candidate, so the VM's
+        // floor needs no scan.
+        let floors: Vec<(u32, i64)> = move_costs_lb
+            .iter()
+            .map(|costs| {
+                costs
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &c)| c)
+                    .map_or((u32::MAX, 0), |(n, &c)| (n as u32, c as i64))
+            })
+            .collect();
         let lower_bound = move |store: &cwcs_solver::DomainStore| -> i64 {
             objective_vars_lb
                 .iter()
+                .zip(&floors)
                 .enumerate()
-                .map(|(i, &var)| {
-                    if store.is_fixed(var) {
-                        move_costs_lb[i][store.value(var) as usize] as i64
+                .map(|(i, (&var, &(cheapest, floor)))| {
+                    let domain = store.domain(var);
+                    if domain.contains(cheapest) {
+                        floor
                     } else {
-                        // The cheapest still-possible node is a valid lower bound.
-                        store
-                            .domain(var)
+                        // The cheapest still-possible node is a valid lower
+                        // bound (for a fixed VM, its own cost).
+                        domain
                             .iter()
                             .map(|n| move_costs_lb[i][n as usize] as i64)
                             .min()

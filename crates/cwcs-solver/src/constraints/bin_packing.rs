@@ -10,9 +10,18 @@
 //! * a bin whose *committed load* (items already fixed to it) exceeds its
 //!   capacity is a failure;
 //! * a candidate bin is removed from an item's domain when the committed load
-//!   plus the item size exceeds the capacity;
+//!   plus the item size exceeds the capacity, i.e. when the bin's *slack*
+//!   (capacity minus committed load) is below the item size;
 //! * a global feasibility check fails when the total size of all items
-//!   exceeds the total remaining capacity of the bins they can still go to.
+//!   exceeds the total capacity of the bins.
+//!
+//! The pruning is word-level.  Each pass sorts the bins by slack once; the
+//! bins forbidden to an item of size `s` are then exactly a *prefix* of that
+//! order (every bin with slack `< s`), found by binary search.  The pass
+//! builds one bitset mask per prefix length and clears an item's forbidden
+//! bins with a single [`DomainStore::remove_mask`] over the domain arena —
+//! a few word operations per item instead of one test per (item,
+//! candidate bin) pair.
 
 use crate::propagator::{Inconsistency, PropagationResult, Propagator};
 use crate::store::{DomainStore, VarId};
@@ -24,6 +33,10 @@ pub struct BinPacking {
     assignments: Vec<VarId>,
     sizes: Vec<u64>,
     capacities: Vec<u64>,
+    /// Sum of `sizes`.
+    total_size: u64,
+    /// Sum of `capacities`.
+    total_capacity: u64,
 }
 
 impl BinPacking {
@@ -35,6 +48,8 @@ impl BinPacking {
         assert_eq!(assignments.len(), sizes.len());
         BinPacking {
             assignments,
+            total_size: sizes.iter().sum(),
+            total_capacity: capacities.iter().sum(),
             sizes,
             capacities,
         }
@@ -57,14 +72,22 @@ impl Propagator for BinPacking {
             }
         }
 
+        let stride = n_bins.div_ceil(64);
+        let mut committed = vec![0u64; n_bins];
+        let mut slack = vec![0u64; n_bins];
+        let mut order: Vec<u32> = (0..n_bins as u32).collect();
+        let mut prefix: Vec<u64> = Vec::new();
         loop {
             let mut progressed = false;
 
             // Committed load of each bin: items whose assignment is fixed.
-            let mut committed = vec![0u64; n_bins];
+            // The largest unfixed item bounds the longest forbidden prefix.
+            committed.fill(0);
+            let mut largest_open = 0;
             for (i, &var) in self.assignments.iter().enumerate() {
-                if let Some(bin) = store.fixed_value(var) {
-                    committed[bin as usize] += self.sizes[i];
+                match store.fixed_value(var) {
+                    Some(bin) => committed[bin as usize] += self.sizes[i],
+                    None => largest_open = largest_open.max(self.sizes[i]),
                 }
             }
             for (bin, &load) in committed.iter().enumerate() {
@@ -74,6 +97,20 @@ impl Propagator for BinPacking {
                         self.capacities[bin]
                     )));
                 }
+                slack[bin] = self.capacities[bin] - load;
+            }
+
+            // Bins in increasing slack: `prefix[k]` (stride words) is the
+            // mask of the first `k` bins, the forbidden set of every item
+            // with exactly `k` bins of slack below its size.
+            order.sort_unstable_by_key(|&b| slack[b as usize]);
+            let longest = order.partition_point(|&b| slack[b as usize] < largest_open);
+            prefix.clear();
+            prefix.resize((longest + 1) * stride, 0);
+            for (k, &bin) in order[..longest].iter().enumerate() {
+                let (done, next) = prefix.split_at_mut((k + 1) * stride);
+                next[..stride].copy_from_slice(&done[k * stride..]);
+                next[bin as usize / 64] |= 1u64 << (bin % 64);
             }
 
             // Remove bins that cannot take an unfixed item anymore.
@@ -81,12 +118,10 @@ impl Propagator for BinPacking {
                 if store.is_fixed(var) {
                     continue;
                 }
-                for bin in store.domain(var).values() {
-                    if committed[bin as usize] + self.sizes[i] > self.capacities[bin as usize] {
-                        store.remove(var, bin)?;
-                        progressed = true;
-                        changed = true;
-                    }
+                let k = order.partition_point(|&b| slack[b as usize] < self.sizes[i]);
+                if k > 0 && store.remove_mask(var, &prefix[k * stride..(k + 1) * stride])? {
+                    progressed = true;
+                    changed = true;
                 }
             }
 
@@ -96,11 +131,10 @@ impl Propagator for BinPacking {
         }
 
         // Global feasibility: total item size vs. total usable capacity.
-        let total_items: u64 = self.sizes.iter().sum();
-        let total_capacity: u64 = self.capacities.iter().sum();
-        if total_items > total_capacity {
+        if self.total_size > self.total_capacity {
             return Err(Inconsistency::failure(format!(
-                "bin packing infeasible: total item size {total_items} exceeds total capacity {total_capacity}"
+                "bin packing infeasible: total item size {} exceeds total capacity {}",
+                self.total_size, self.total_capacity
             )));
         }
 

@@ -24,9 +24,9 @@
 //!   through an atomic bound and proves optimality when the global pending
 //!   counter drains ([`portfolio`]).
 //!
-//! The solver is deliberately small and deterministic: domains are bitsets,
-//! propagation runs to fixpoint after every decision, and search state is
-//! restored by trailing whole domains.  This is more than enough for the
+//! The solver is deliberately small and deterministic: domains are bitsets
+//! in one flat arena, propagation runs to fixpoint after every decision,
+//! and search state is restored by copying the arena.  This is more than enough for the
 //! placement problems of the paper (hundreds of variables whose domains are
 //! node indices).
 //!
@@ -56,7 +56,7 @@ pub mod store;
 pub mod sync;
 
 pub use deque::{work_deque, DequeStealer, DequeWorker, Steal};
-pub use domain::IntDomain;
+pub use domain::{DomainIter, DomainView};
 pub use portfolio::{
     partition_root, PendingCounter, PortfolioConfig, PortfolioOutcome, PortfolioSearch,
     PortfolioStats, RootPartition, WorkerReport, WorkerRole,

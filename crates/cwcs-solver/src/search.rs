@@ -620,10 +620,9 @@ impl<'m> Search<'m> {
     }
 
     pub(crate) fn select_variable(selection: &VariableSelection, store: &DomainStore) -> VarId {
-        let unfixed = store.unfixed_vars();
-        debug_assert!(!unfixed.is_empty());
+        let mut unfixed = store.unfixed_vars();
         match selection {
-            VariableSelection::InputOrder => unfixed[0],
+            VariableSelection::InputOrder => unfixed.next().expect("at least one unfixed variable"),
             VariableSelection::FirstFail { weights, ranks } => {
                 let weight = |v: VarId| -> u64 {
                     weights
@@ -637,9 +636,8 @@ impl<'m> Search<'m> {
                         .and_then(|r| r.get(v.0).copied())
                         .unwrap_or(v.0 as u64)
                 };
-                *unfixed
-                    .iter()
-                    .min_by_key(|&&v| {
+                unfixed
+                    .min_by_key(|&v| {
                         (
                             store.domain(v).size(),
                             std::cmp::Reverse(weight(v)),

@@ -3,13 +3,14 @@
 //! A [`Model`] owns the initial domains and the posted propagators; a
 //! [`DomainStore`] is the mutable copy of the domains that propagation and
 //! search work on.  Search restores state by cloning the store at every
-//! choice point, which is simple, allocation-friendly at our problem sizes,
-//! and trivially correct.
+//! choice point.  The store is a flat arena — every variable's bitset in one
+//! `Vec<u64>` at a fixed per-model stride, plus one `(size, min, max)`
+//! record per variable — so a clone is two `memcpy`s and no per-variable
+//! allocation, whatever the variable count.
 
-use std::ops::Index;
 use std::sync::Arc;
 
-use crate::domain::IntDomain;
+use crate::domain::{fill_range, fill_values, words_for, Bounds, DomainMut, DomainView};
 use crate::propagator::{Inconsistency, Propagator};
 
 /// Index of a decision variable inside a [`Model`] / [`DomainStore`].
@@ -19,7 +20,8 @@ pub struct VarId(pub usize);
 /// A constraint model: variables (initial domains) and propagators.
 #[derive(Clone, Default)]
 pub struct Model {
-    domains: Vec<IntDomain>,
+    /// The initial domains: the root store every search starts from.
+    root: DomainStore,
     names: Vec<String>,
     propagators: Vec<Arc<dyn Propagator>>,
 }
@@ -31,17 +33,22 @@ impl Model {
     }
 
     /// Create a variable whose domain is `[lo, hi]` (inclusive).
+    ///
+    /// # Panics
+    /// Panics when `lo > hi`.
     pub fn new_var(&mut self, lo: u32, hi: u32) -> VarId {
-        let id = VarId(self.domains.len());
-        self.domains.push(IntDomain::range(lo, hi));
+        let id = self.root.push(hi, |words| fill_range(words, lo, hi));
         self.names.push(format!("x{}", id.0));
         id
     }
 
     /// Create a variable with an explicit set of candidate values.
+    ///
+    /// # Panics
+    /// Panics when `values` is empty.
     pub fn new_var_with_values(&mut self, values: &[u32]) -> VarId {
-        let id = VarId(self.domains.len());
-        self.domains.push(IntDomain::from_values(values));
+        let max = values.iter().copied().max().expect("empty initial domain");
+        let id = self.root.push(max, |words| fill_values(words, values));
         self.names.push(format!("x{}", id.0));
         id
     }
@@ -84,11 +91,14 @@ impl Model {
     /// persistent model recycles a retired slot for a newly arrived item
     /// (paired with [`Model::rename_var`]) or re-bounds every live variable
     /// when the candidate-node count changed, instead of being rebuilt.
+    /// When `hi` needs more words than the model's stride the root arena is
+    /// re-laid out at the wider stride.
     ///
     /// # Panics
-    /// Panics when `var` does not name a variable of this model.
+    /// Panics when `var` does not name a variable of this model or
+    /// `lo > hi`.
     pub fn reset_var(&mut self, var: VarId, lo: u32, hi: u32) {
-        self.domains[var.0] = IntDomain::range(lo, hi);
+        self.root.reset(var, hi, |words| fill_range(words, lo, hi));
     }
 
     /// Retire a variable: fix its initial domain to the singleton `{0}`.
@@ -101,7 +111,7 @@ impl Model {
     /// # Panics
     /// Panics when `var` does not name a variable of this model.
     pub fn retire_var(&mut self, var: VarId) {
-        self.domains[var.0] = IntDomain::range(0, 0);
+        self.reset_var(var, 0, 0);
     }
 
     /// Rename a variable (recycled slots take the new item's name, so
@@ -115,7 +125,7 @@ impl Model {
 
     /// Number of variables.
     pub fn var_count(&self) -> usize {
-        self.domains.len()
+        self.root.var_count()
     }
 
     /// Number of posted propagators.
@@ -129,8 +139,8 @@ impl Model {
     }
 
     /// Initial domain of a variable.
-    pub fn initial_domain(&self, var: VarId) -> &IntDomain {
-        &self.domains[var.0]
+    pub fn initial_domain(&self, var: VarId) -> DomainView<'_> {
+        self.root.domain(var)
     }
 
     /// The propagators, shared with search.
@@ -140,37 +150,98 @@ impl Model {
 
     /// Build the root domain store (a copy of the initial domains).
     pub fn root_store(&self) -> DomainStore {
-        DomainStore {
-            domains: self.domains.clone(),
-        }
+        self.root.clone()
     }
 }
 
 /// The mutable set of domains manipulated by propagation and search.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Variable `v` owns `words[v · stride .. (v + 1) · stride]` and
+/// `bounds[v]`; the stride is the word count of the model's widest domain.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DomainStore {
-    domains: Vec<IntDomain>,
+    stride: usize,
+    words: Vec<u64>,
+    bounds: Vec<Bounds>,
 }
 
 impl DomainStore {
+    /// Widen the stride so that the value `max` fits, re-laying out every
+    /// variable's words.
+    fn ensure_fits(&mut self, max: u32) {
+        let needed = words_for(max);
+        if needed <= self.stride {
+            return;
+        }
+        let mut words = vec![0u64; self.bounds.len() * needed];
+        for (old, new) in self
+            .words
+            .chunks_exact(self.stride.max(1))
+            .zip(words.chunks_exact_mut(needed))
+        {
+            new[..old.len()].copy_from_slice(old);
+        }
+        self.words = words;
+        self.stride = needed;
+    }
+
+    /// Append a variable whose values are at most `max`, initialized by
+    /// `fill` over its zeroed words.
+    fn push(&mut self, max: u32, fill: impl FnOnce(&mut [u64]) -> Bounds) -> VarId {
+        self.ensure_fits(max);
+        let id = VarId(self.bounds.len());
+        self.words.resize(self.words.len() + self.stride, 0);
+        self.bounds.push(Bounds::EMPTY);
+        self.reset(id, max, fill);
+        id
+    }
+
+    /// Re-initialize a variable whose values are at most `max` by `fill`
+    /// over its zeroed words.
+    fn reset(&mut self, var: VarId, max: u32, fill: impl FnOnce(&mut [u64]) -> Bounds) {
+        self.ensure_fits(max);
+        let words = &mut self.words[var.0 * self.stride..(var.0 + 1) * self.stride];
+        words.fill(0);
+        self.bounds[var.0] = fill(words);
+    }
+
+    /// Mutable access to one variable's domain.
+    fn edit(&mut self, var: VarId) -> DomainMut<'_> {
+        DomainMut {
+            words: &mut self.words[var.0 * self.stride..(var.0 + 1) * self.stride],
+            bounds: &mut self.bounds[var.0],
+        }
+    }
+
+    /// Turn an emptied domain into a wipeout.
+    fn check(&self, var: VarId, changed: bool) -> Result<bool, Inconsistency> {
+        if self.bounds[var.0].size == 0 {
+            return Err(Inconsistency::wipeout(var));
+        }
+        Ok(changed)
+    }
+
     /// Domain of a variable.
-    pub fn domain(&self, var: VarId) -> &IntDomain {
-        &self.domains[var.0]
+    pub fn domain(&self, var: VarId) -> DomainView<'_> {
+        DomainView::new(
+            &self.words[var.0 * self.stride..(var.0 + 1) * self.stride],
+            self.bounds[var.0],
+        )
     }
 
     /// Number of variables in the store.
     pub fn var_count(&self) -> usize {
-        self.domains.len()
+        self.bounds.len()
     }
 
     /// True when every variable is fixed.
     pub fn all_fixed(&self) -> bool {
-        self.domains.iter().all(|d| d.is_fixed())
+        self.bounds.iter().all(|b| b.size == 1)
     }
 
     /// True when the variable is fixed.
     pub fn is_fixed(&self, var: VarId) -> bool {
-        self.domains[var.0].is_fixed()
+        self.bounds[var.0].size == 1
     }
 
     /// Value of a fixed variable.
@@ -178,32 +249,28 @@ impl DomainStore {
     /// # Panics
     /// Panics when the variable is not fixed.
     pub fn value(&self, var: VarId) -> u32 {
-        self.domains[var.0].value()
+        self.domain(var).value()
     }
 
     /// Value of the variable if it is fixed, `None` otherwise.
     pub fn fixed_value(&self, var: VarId) -> Option<u32> {
-        let d = &self.domains[var.0];
-        if d.is_fixed() {
-            Some(d.value())
-        } else {
-            None
-        }
+        let b = self.bounds[var.0];
+        (b.size == 1).then_some(b.min)
     }
 
     /// Smallest candidate value.
     pub fn min(&self, var: VarId) -> u32 {
-        self.domains[var.0].min()
+        self.domain(var).min()
     }
 
     /// Largest candidate value.
     pub fn max(&self, var: VarId) -> u32 {
-        self.domains[var.0].max()
+        self.domain(var).max()
     }
 
     /// True when `value` is still a candidate for `var`.
     pub fn contains(&self, var: VarId, value: u32) -> bool {
-        self.domains[var.0].contains(value)
+        self.domain(var).contains(value)
     }
 
     /// Remove `value` from the domain of `var`.
@@ -212,53 +279,44 @@ impl DomainStore {
     /// was already absent, and `Err(Inconsistency)` when the removal empties
     /// the domain.
     pub fn remove(&mut self, var: VarId, value: u32) -> Result<bool, Inconsistency> {
-        let changed = self.domains[var.0].remove(value);
-        if self.domains[var.0].is_empty() {
-            return Err(Inconsistency::wipeout(var));
-        }
-        Ok(changed)
+        let changed = self.edit(var).remove(value);
+        self.check(var, changed)
+    }
+
+    /// Remove from the domain of `var` every value whose bit is set in
+    /// `mask` (bit `v % 64` of word `v / 64` stands for value `v`; words
+    /// past the store's stride are ignored), in one pass over the words.
+    /// Same contract as [`DomainStore::remove`].
+    pub fn remove_mask(&mut self, var: VarId, mask: &[u64]) -> Result<bool, Inconsistency> {
+        let changed = self.edit(var).remove_mask(mask);
+        self.check(var, changed)
     }
 
     /// Fix `var` to `value`.
     pub fn assign(&mut self, var: VarId, value: u32) -> Result<bool, Inconsistency> {
-        let changed = self.domains[var.0].assign(value);
-        if self.domains[var.0].is_empty() {
-            return Err(Inconsistency::wipeout(var));
-        }
-        Ok(changed)
+        let changed = self.edit(var).assign(value);
+        self.check(var, changed)
     }
 
     /// Remove every value of `var` strictly below `bound`.
     pub fn remove_below(&mut self, var: VarId, bound: u32) -> Result<bool, Inconsistency> {
-        let changed = self.domains[var.0].remove_below(bound);
-        if self.domains[var.0].is_empty() {
-            return Err(Inconsistency::wipeout(var));
-        }
-        Ok(changed)
+        let changed = self.edit(var).remove_below(bound);
+        self.check(var, changed)
     }
 
     /// Remove every value of `var` strictly above `bound`.
     pub fn remove_above(&mut self, var: VarId, bound: u32) -> Result<bool, Inconsistency> {
-        let changed = self.domains[var.0].remove_above(bound);
-        if self.domains[var.0].is_empty() {
-            return Err(Inconsistency::wipeout(var));
-        }
-        Ok(changed)
+        let changed = self.edit(var).remove_above(bound);
+        self.check(var, changed)
     }
 
     /// Variables that are not fixed yet, in index order.
-    pub fn unfixed_vars(&self) -> Vec<VarId> {
-        (0..self.domains.len())
-            .map(VarId)
-            .filter(|v| !self.is_fixed(*v))
-            .collect()
-    }
-}
-
-impl Index<VarId> for DomainStore {
-    type Output = IntDomain;
-    fn index(&self, var: VarId) -> &IntDomain {
-        &self.domains[var.0]
+    pub fn unfixed_vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.bounds
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.size != 1)
+            .map(|(i, _)| VarId(i))
     }
 }
 
@@ -319,7 +377,7 @@ mod tests {
         let y = m.new_var(0, 1);
         let mut s = m.root_store();
         s.assign(x, 0).unwrap();
-        assert_eq!(s.unfixed_vars(), vec![y]);
+        assert_eq!(s.unfixed_vars().collect::<Vec<_>>(), vec![y]);
     }
 
     #[test]
@@ -347,5 +405,36 @@ mod tests {
         let x = m.new_var_with_values(&[2, 4, 8]);
         let s = m.root_store();
         assert_eq!(s.domain(x).values(), vec![2, 4, 8]);
+    }
+
+    #[test]
+    fn widening_a_domain_relays_out_the_arena() {
+        let mut m = Model::new();
+        let x = m.new_var(0, 3);
+        let y = m.new_var(60, 63);
+        let mut s = m.root_store();
+        s.remove(x, 1).unwrap();
+        // Recycling y over 200 values needs four words per variable: the
+        // root is re-laid out, and x keeps its initial domain.
+        m.reset_var(y, 0, 199);
+        assert_eq!(m.initial_domain(x).values(), vec![0, 1, 2, 3]);
+        assert_eq!(m.initial_domain(y).size(), 200);
+        assert_eq!(m.initial_domain(y).max(), 199);
+        // A store cloned before the change is unaffected.
+        assert_eq!(s.domain(x).values(), vec![0, 2, 3]);
+        assert_eq!(s.domain(y).values(), vec![60, 61, 62, 63]);
+    }
+
+    #[test]
+    fn remove_mask_reports_changes_and_wipeouts() {
+        let mut m = Model::new();
+        let x = m.new_var(0, 129);
+        let mut s = m.root_store();
+        assert!(s.remove_mask(x, &[!0, 0, 0b10]).unwrap());
+        assert_eq!(s.min(x), 64);
+        assert_eq!(s.max(x), 128);
+        assert_eq!(s.domain(x).size(), 65);
+        assert!(!s.remove_mask(x, &[!0]).unwrap(), "word 0 is already clear");
+        assert!(s.remove_mask(x, &[0, !0, !0]).is_err());
     }
 }
