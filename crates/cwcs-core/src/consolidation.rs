@@ -3,18 +3,22 @@
 //! Every iteration, the module solves the **Running Job Selection Problem**
 //! (RJSP): select the maximum number of vjobs that can run simultaneously,
 //! honouring the FCFS queue order (descending priority, then submission
-//! order).  For each vjob of the queue, a temporary configuration is built
-//! and the vjob's VMs are packed with First-Fit Decreasing on top of the
-//! vjobs already accepted; when the packing succeeds the vjob will run,
+//! order).  The nodes start empty; for each vjob of the queue, the vjob's VMs
+//! are packed with First-Fit Decreasing into the capacity the vjobs already
+//! accepted left free.  When the packing succeeds the vjob will run,
 //! otherwise it will sleep (if it is currently running or sleeping) or keep
 //! waiting.
+//!
+//! The packing only proves that the selected vjobs fit together; the module
+//! returns their states and nothing else.  Where the VMs actually go is the
+//! optimizer's choice (Section 4.3).
 //!
 //! Completed vjobs are terminated; their VMs will be stopped by the next
 //! cluster-wide context switch.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cwcs_model::{Configuration, Vjob, VjobId, VjobState, VmAssignment};
+use cwcs_model::{Configuration, Vjob, VjobId, VjobState};
 
 use crate::decision::{Decision, DecisionError, DecisionModule};
 use crate::ffd::{FirstFitDecreasing, FreeCapacityIndex, PackingPolicy};
@@ -49,19 +53,6 @@ impl DecisionModule for FcfsConsolidation {
         vjobs: &[Vjob],
         completed: &BTreeSet<VjobId>,
     ) -> Result<Decision, DecisionError> {
-        let mut states: BTreeMap<VjobId, VjobState> = BTreeMap::new();
-
-        // The proof configuration starts with every known VM out of the nodes
-        // (waiting or terminated keep their state, running/sleeping VMs are
-        // re-decided below).
-        let mut proof = current.clone();
-
-        // Free resources per node, starting from empty nodes: the RJSP packs
-        // every selected vjob from scratch.  The first-fit index is built
-        // once and debited vjob by vjob, so a 10k-node decide costs
-        // O(VMs × log nodes) instead of O(VMs × nodes).
-        let mut free = FreeCapacityIndex::from_capacities(&proof);
-
         // Queue: every non-terminated vjob, by descending priority then
         // submission order (the FCFS queue of the paper).
         let mut queue: Vec<&Vjob> = vjobs
@@ -70,80 +61,45 @@ impl DecisionModule for FcfsConsolidation {
             .collect();
         queue.sort_by_key(|j| j.queue_key());
 
-        // Reset the proof configuration: all queue VMs leave the nodes.  The
-        // state written here for non-selected vjobs is refined afterwards.
+        // Every queued VM must be known before anything is packed.
         for vjob in &queue {
-            for &vm in &vjob.vms {
-                let assignment = proof
-                    .assignment(vm)
-                    .map_err(|_| DecisionError::UnknownVjob(vjob.id))?;
-                // Keep sleeping images where they are; running VMs are taken
-                // off their node in the proof (their real migration/suspend is
-                // the planner's business).
-                let reset = match assignment.state {
-                    cwcs_model::VmState::Running => {
-                        VmAssignment::sleeping(assignment.host.expect("running VM has a host"))
-                    }
-                    _ => assignment,
-                };
-                // `set_assignment` rather than `transition`: the proof
-                // configuration is scratch space, not the real cluster.
-                proof
-                    .set_assignment(vm, reset)
-                    .map_err(|_| DecisionError::UnknownVjob(vjob.id))?;
+            if vjob.vms.iter().any(|&vm| current.vm(vm).is_err()) {
+                return Err(DecisionError::UnknownVjob(vjob.id));
             }
         }
 
+        // Free resources per node, starting from empty nodes: the RJSP packs
+        // every selected vjob from scratch.  The first-fit index is built
+        // once and debited vjob by vjob, so a 10k-node decide costs
+        // O(VMs × log nodes) instead of O(VMs × nodes).
+        let mut free = FreeCapacityIndex::from_capacities(current);
+        let mut states: BTreeMap<VjobId, VjobState> = BTreeMap::new();
         for vjob in &queue {
-            // Completed vjobs are terminated whatever the packing says.
-            if completed.contains(&vjob.id) {
-                states.insert(vjob.id, VjobState::Terminated);
-                for &vm in &vjob.vms {
-                    let _ = proof.set_assignment(vm, VmAssignment::terminated());
+            let next = if completed.contains(&vjob.id) {
+                // Completed vjobs are terminated whatever the packing says.
+                VjobState::Terminated
+            } else if FirstFitDecreasing::place(current, &vjob.vms, &mut free, self.packing)
+                .is_some()
+            {
+                // The vjob fits on top of the already-accepted ones.
+                VjobState::Running
+            } else {
+                // Not enough room: the vjob sleeps if it has already run,
+                // keeps waiting otherwise.
+                match vjob.state {
+                    VjobState::Running | VjobState::Sleeping => VjobState::Sleeping,
+                    state => state,
                 }
-                continue;
-            }
-
-            // Try to pack the vjob on top of the already-accepted ones.
-            match FirstFitDecreasing::place_indexed_policy(
-                &proof,
-                &vjob.vms,
-                &mut free,
-                self.packing,
-            ) {
-                Some(placement) => {
-                    states.insert(vjob.id, VjobState::Running);
-                    for (&vm, &node) in &placement {
-                        proof
-                            .set_assignment(vm, VmAssignment::running(node))
-                            .map_err(|_| DecisionError::UnknownVjob(vjob.id))?;
-                    }
-                }
-                None => {
-                    // Not enough room: the vjob sleeps if it has already run,
-                    // keeps waiting otherwise.
-                    let next = match vjob.state {
-                        VjobState::Running | VjobState::Sleeping => VjobState::Sleeping,
-                        VjobState::Waiting => VjobState::Waiting,
-                        VjobState::Terminated => VjobState::Terminated,
-                    };
-                    states.insert(vjob.id, next);
-                }
-            }
+            };
+            states.insert(vjob.id, next);
         }
 
         // Terminated vjobs keep their state.
         for vjob in vjobs {
             states.entry(vjob.id).or_insert(vjob.state);
         }
-
-        debug_assert!(
-            proof.is_viable(),
-            "the RJSP proof configuration must be viable"
-        );
         Ok(Decision {
             vjob_states: states,
-            proof_configuration: proof,
         })
     }
 
@@ -155,7 +111,7 @@ impl DecisionModule for FcfsConsolidation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwcs_model::{CpuCapacity, MemoryMib, Node, NodeId, Vm, VmId};
+    use cwcs_model::{CpuCapacity, MemoryMib, Node, NodeId, Vm, VmAssignment, VmId};
 
     /// 3 uniprocessor nodes, 3 vjobs: the Figure 6 scenario.
     ///
@@ -209,16 +165,16 @@ mod tests {
 
     #[test]
     fn figure_6_selects_vjob_1_and_3() {
-        // The cluster has 3 processing units; vjob 1 needs 1 busy unit,
-        // vjob 2 needs 2, vjob 3 needs 1.  With the FCFS queue [1, 2, 3]:
-        // vjob 1 fits, vjob 2 would need 2 more units on distinct nodes of
-        // the remaining 2... it actually fits too.  Shrink the cluster to
-        // 2 nodes to reproduce the overload: see the dedicated test below.
-        // Here we simply check the happy path with all three accepted.
+        // The cluster has 3 processing units.  With the FCFS queue
+        // [1, 2, 3], vjob 1 packs first: its busy VM fills node 0 and its
+        // idle VM (10 % of a unit) lands on node 1, so only node 2 is left
+        // whole.  vjob 2 needs two whole units: it does not fit and sleeps.
+        // vjob 3 needs one whole unit: it backfills node 2.
         let (c, vjobs) = figure_6();
         let mut module = FcfsConsolidation::new();
         let decision = module.decide(&c, &vjobs, &BTreeSet::new()).unwrap();
         assert_eq!(decision.vjob_states[&VjobId(1)], VjobState::Running);
+        assert_eq!(decision.vjob_states[&VjobId(2)], VjobState::Sleeping);
         assert_eq!(decision.vjob_states[&VjobId(3)], VjobState::Running);
     }
 
@@ -278,7 +234,6 @@ mod tests {
             VjobState::Running,
             "vjob 3 backfills"
         );
-        assert!(decision.proof_configuration.is_viable());
     }
 
     #[test]
@@ -338,13 +293,5 @@ mod tests {
         let mut module = FcfsConsolidation::new();
         let decision = module.decide(&c, &[vjob], &BTreeSet::new()).unwrap();
         assert_eq!(decision.vjob_states[&VjobId(0)], VjobState::Running);
-    }
-
-    #[test]
-    fn proof_configuration_is_always_viable() {
-        let (c, vjobs) = figure_6();
-        let mut module = FcfsConsolidation::new();
-        let decision = module.decide(&c, &vjobs, &BTreeSet::new()).unwrap();
-        assert!(decision.proof_configuration.is_viable());
     }
 }

@@ -5,6 +5,11 @@
 //! iteration." (Section 3.2)  The administrator implements this trait to
 //! express a scheduling policy; [`crate::consolidation::FcfsConsolidation`]
 //! is the sample policy of the paper.
+//!
+//! A module's output is the vjob states alone.  The module checks that the
+//! states fit on the cluster, but the configuration that realises them is
+//! built by the optimizer (Section 4.3), which picks the cheapest one to
+//! reach from the current configuration.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -12,17 +17,11 @@ use std::fmt;
 use cwcs_model::{Configuration, Vjob, VjobId, VjobState};
 
 /// The output of a decision module: the state every vjob should have at the
-/// next iteration, plus the (viable) configuration the module used to prove
-/// that those states fit on the cluster.
+/// next iteration.  The optimizer turns it into a viable configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
     /// State requested for each vjob.
     pub vjob_states: BTreeMap<VjobId, VjobState>,
-    /// The viable configuration computed by the module (running VMs placed,
-    /// e.g. by First-Fit Decreasing).  The optimizer is free to pick any
-    /// *equivalent* configuration (same states, possibly different hosts)
-    /// with a cheaper reconfiguration plan.
-    pub proof_configuration: Configuration,
 }
 
 impl Decision {
@@ -87,7 +86,8 @@ impl std::error::Error for DecisionError {}
 /// A scheduling policy: decide the state of every vjob for the next
 /// iteration.
 pub trait DecisionModule {
-    /// Compute the next states.
+    /// Compute the next states.  A running state is a promise that the
+    /// vjob's VMs fit on the cluster next to every other running vjob.
     ///
     /// * `current` — the configuration observed by the monitoring service
     ///   (demands refreshed);
@@ -138,7 +138,6 @@ mod tests {
         states.insert(VjobId(2), VjobState::Running);
         let decision = Decision {
             vjob_states: states,
-            proof_configuration: Configuration::new(),
         };
         assert_eq!(decision.running_vjobs(), vec![VjobId(0), VjobId(2)]);
         assert_eq!(decision.sleeping_vjobs(), vec![VjobId(1)]);
@@ -151,7 +150,6 @@ mod tests {
         states.insert(VjobId(1), VjobState::Sleeping);
         let decision = Decision {
             vjob_states: states,
-            proof_configuration: Configuration::new(),
         };
         let unchanged = vec![vjob(0, VjobState::Running), vjob(1, VjobState::Sleeping)];
         assert!(!decision.changes_anything(&unchanged));

@@ -6,12 +6,16 @@
 //! [`ResourceDemand`] vectors, so every resource dimension (CPU, memory,
 //! network) participates in the fit check.
 //!
-//! The heuristic is used in two places:
-//! * by the sample decision module to test whether one more vjob fits on the
-//!   cluster (the Running Job Selection Problem);
-//! * as the baseline configuration planner of Figure 10: the first complete
-//!   viable configuration it produces is kept as-is, without any attempt at
-//!   reducing the reconfiguration cost.
+//! The packer has two entry points:
+//! * [`FirstFitDecreasing::place`] packs one VM set into a
+//!   [`FreeCapacityIndex`] and debits it.  The sample decision module calls
+//!   it vjob by vjob to test whether one more vjob fits on the cluster (the
+//!   Running Job Selection Problem).
+//! * [`FirstFitDecreasing::pack_all`] packs every VM that must run into
+//!   empty nodes.  It is the baseline configuration planner of Figure 10:
+//!   the first complete viable configuration it produces is kept as-is,
+//!   without any attempt at reducing the reconfiguration cost.  The
+//!   optimizer also falls back on it when its search finds nothing.
 //!
 //! # Packing policy for booting VMs
 //!
@@ -68,11 +72,6 @@ impl FreeCapacityIndex {
             index.build(1, 0, index.free.len() - 1);
         }
         index
-    }
-
-    /// Build the index from the current free resources of `config`.
-    pub fn from_config(config: &Configuration) -> Self {
-        Self::new(FirstFitDecreasing::free_resources(config))
     }
 
     /// Build the index from the full (empty-node) capacities of `config`.
@@ -196,59 +195,16 @@ impl PackingPolicy {
 pub struct FirstFitDecreasing;
 
 impl FirstFitDecreasing {
-    /// Try to place the given VMs (with the demands recorded in `config`) on
-    /// the nodes of `config`, on top of the VMs already running there.
+    /// Try to place the given VMs (with the demands `policy` reads from
+    /// `config`) into the free capacity `index` holds: first fit, largest
+    /// VM first.  The RJSP loop builds the index **once** per decide and
+    /// threads it through every vjob, so successive calls pack vjob after
+    /// vjob on top of each other.
     ///
-    /// Returns the host chosen for each VM, or `None` when at least one VM
-    /// cannot be placed.
-    pub fn place(config: &Configuration, vms: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
-        Self::place_with_free(config, vms, &mut Self::free_resources(config))
-    }
-
-    /// Current free resources per node (capacity minus running VMs), in node
-    /// id order.
-    pub fn free_resources(config: &Configuration) -> Vec<(NodeId, ResourceDemand)> {
-        config
-            .usages()
-            .into_iter()
-            .map(|(node, usage)| (node, usage.free()))
-            .collect()
-    }
-
-    /// Same as [`FirstFitDecreasing::place`], but against an explicit
-    /// free-resource vector which is updated in place when the placement
-    /// succeeds (so successive calls can pack several vjobs one after the
-    /// other, as the RJSP loop does).  Packs by observed demand.
-    pub fn place_with_free(
-        config: &Configuration,
-        vms: &[VmId],
-        free: &mut Vec<(NodeId, ResourceDemand)>,
-    ) -> Option<BTreeMap<VmId, NodeId>> {
-        Self::place_with_free_policy(config, vms, free, PackingPolicy::Observed)
-    }
-
-    /// The policy-aware core of the packer: like
-    /// [`FirstFitDecreasing::place_with_free`], with the per-VM demand
-    /// chosen by `policy` (see [`PackingPolicy`]).
-    pub fn place_with_free_policy(
-        config: &Configuration,
-        vms: &[VmId],
-        free: &mut Vec<(NodeId, ResourceDemand)>,
-        policy: PackingPolicy,
-    ) -> Option<BTreeMap<VmId, NodeId>> {
-        let mut index = FreeCapacityIndex::new(std::mem::take(free));
-        let placement = Self::place_indexed_policy(config, vms, &mut index, policy);
-        *free = index.into_free();
-        placement
-    }
-
-    /// The indexed core of the packer: first-fit against a
-    /// [`FreeCapacityIndex`], which the RJSP loop builds **once** per decide
-    /// and threads through every vjob instead of re-scanning the node list.
-    /// A failed placement rolls the index back via an undo log, so the
-    /// all-or-nothing semantics of [`FirstFitDecreasing::place_with_free`]
-    /// are preserved without cloning the free vector per call.
-    pub fn place_indexed_policy(
+    /// Returns the host chosen for each VM and debits the index, or `None`
+    /// when at least one VM cannot be placed.  A failed placement rolls the
+    /// index back via an undo log, so it consumes nothing.
+    pub fn place(
         config: &Configuration,
         vms: &[VmId],
         index: &mut FreeCapacityIndex,
@@ -289,32 +245,18 @@ impl FirstFitDecreasing {
 
     /// Compute a complete viable placement for every VM that must run: the
     /// "first completed viable configuration" baseline of Figure 10.
-    /// Packs by observed demand.
     ///
     /// `must_run` lists the VMs that must be in the Running state; every
-    /// other VM is ignored (it consumes nothing).  Returns `None` when the
-    /// cluster cannot host them all.
-    pub fn pack_all(config: &Configuration, must_run: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
-        Self::pack_all_policy(config, must_run, PackingPolicy::Observed)
-    }
-
-    /// Policy-aware variant of [`FirstFitDecreasing::pack_all`].
-    pub fn pack_all_policy(
+    /// other VM is ignored (it consumes nothing).  Packing starts from empty
+    /// nodes: the running VMs of `config` are re-placed too (they are part
+    /// of `must_run`).  Returns `None` when the cluster cannot host them all.
+    pub fn pack_all(
         config: &Configuration,
         must_run: &[VmId],
         policy: PackingPolicy,
     ) -> Option<BTreeMap<VmId, NodeId>> {
-        // Packing starts from empty nodes: the running VMs of the current
-        // configuration are re-placed too (they are part of `must_run`).
-        let mut free: Vec<(NodeId, ResourceDemand)> =
-            config.nodes().map(|n| (n.id, n.capacity())).collect();
-        Self::place_with_free_policy(config, must_run, &mut free, policy)
-    }
-
-    /// Convenience used by tests and the optimizer: all VMs currently in the
-    /// Running state.
-    pub fn running_vms(config: &Configuration) -> Vec<VmId> {
-        config.vms_in_state(VmState::Running)
+        let mut index = FreeCapacityIndex::from_capacities(config);
+        Self::place(config, must_run, &mut index, policy)
     }
 }
 
@@ -345,14 +287,23 @@ mod tests {
         .unwrap();
     }
 
+    /// Pack `vms` by observed demand into the empty nodes of `c`.
+    fn place(c: &Configuration, vms: &[VmId]) -> Option<BTreeMap<VmId, NodeId>> {
+        FirstFitDecreasing::place(
+            c,
+            vms,
+            &mut FreeCapacityIndex::from_capacities(c),
+            PackingPolicy::Observed,
+        )
+    }
+
     #[test]
     fn places_when_there_is_room() {
         let mut c = cluster(2, 2, 4);
         for i in 0..4 {
             add_vm(&mut c, i, 1024, 100);
         }
-        let placement =
-            FirstFitDecreasing::place(&c, &[VmId(0), VmId(1), VmId(2), VmId(3)]).unwrap();
+        let placement = place(&c, &[VmId(0), VmId(1), VmId(2), VmId(3)]).unwrap();
         assert_eq!(placement.len(), 4);
         // Two VMs per node (CPU is the binding constraint).
         let on_node0 = placement.values().filter(|&&n| n == NodeId(0)).count();
@@ -365,7 +316,7 @@ mod tests {
         for i in 0..3 {
             add_vm(&mut c, i, 512, 100);
         }
-        assert!(FirstFitDecreasing::place(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
+        assert!(place(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
     }
 
     #[test]
@@ -374,32 +325,18 @@ mod tests {
         for i in 0..3 {
             add_vm(&mut c, i, 1024, 10);
         }
-        assert!(FirstFitDecreasing::place(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
-    }
-
-    #[test]
-    fn accounts_for_already_running_vms() {
-        let mut c = cluster(1, 2, 4);
-        add_vm(&mut c, 0, 1024, 100);
-        add_vm(&mut c, 1, 1024, 100);
-        add_vm(&mut c, 2, 1024, 100);
-        c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
-            .unwrap();
-        c.set_assignment(VmId(1), VmAssignment::running(NodeId(0)))
-            .unwrap();
-        // The node has 2 cores, both taken: a third busy VM cannot fit.
-        assert!(FirstFitDecreasing::place(&c, &[VmId(2)]).is_none());
+        assert!(place(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
     }
 
     #[test]
     fn larger_vms_are_placed_first() {
-        // A big VM and two small ones on two asymmetrically-filled nodes:
-        // placing the big one first is what makes the packing succeed.
+        // A big VM and two small ones on two 3 GiB nodes: placing the big
+        // one first is what makes the packing succeed.
         let mut c = cluster(2, 4, 3);
         add_vm(&mut c, 0, 2048, 10); // big
         add_vm(&mut c, 1, 1024, 10);
         add_vm(&mut c, 2, 1024, 10);
-        let placement = FirstFitDecreasing::place(&c, &[VmId(1), VmId(2), VmId(0)]).unwrap();
+        let placement = place(&c, &[VmId(1), VmId(2), VmId(0)]).unwrap();
         assert_eq!(placement.len(), 3);
         // The 2 GiB VM and one 1 GiB VM share a 3 GiB node, the other goes elsewhere.
         let node_of_big = placement[&VmId(0)];
@@ -408,31 +345,18 @@ mod tests {
     }
 
     #[test]
-    fn incremental_packing_reuses_free_vector() {
+    fn incremental_packing_debits_the_index() {
         let mut c = cluster(2, 2, 4);
-        for i in 0..4 {
+        for i in 0..5 {
             add_vm(&mut c, i, 1024, 100);
         }
-        let mut free = FirstFitDecreasing::free_resources(&c);
-        let first =
-            FirstFitDecreasing::place_with_free(&c, &[VmId(0), VmId(1)], &mut free).unwrap();
-        let second =
-            FirstFitDecreasing::place_with_free(&c, &[VmId(2), VmId(3)], &mut free).unwrap();
-        assert_eq!(first.len() + second.len(), 4);
+        let mut index = FreeCapacityIndex::from_capacities(&c);
+        let observed = PackingPolicy::Observed;
+        let first = FirstFitDecreasing::place(&c, &[VmId(0), VmId(1)], &mut index, observed);
+        let second = FirstFitDecreasing::place(&c, &[VmId(2), VmId(3)], &mut index, observed);
+        assert_eq!(first.unwrap().len() + second.unwrap().len(), 4);
         // A fifth busy VM does not fit anymore.
-        add_vm(&mut c, 4, 512, 100);
-        assert!(FirstFitDecreasing::place_with_free(&c, &[VmId(4)], &mut free).is_none());
-    }
-
-    #[test]
-    fn failed_placement_does_not_consume_resources() {
-        let mut c = cluster(1, 1, 4);
-        add_vm(&mut c, 0, 1024, 100);
-        add_vm(&mut c, 1, 1024, 100);
-        let mut free = FirstFitDecreasing::free_resources(&c);
-        let before = free.clone();
-        assert!(FirstFitDecreasing::place_with_free(&c, &[VmId(0), VmId(1)], &mut free).is_none());
-        assert_eq!(free, before, "a failed packing must not leak reservations");
+        assert!(FirstFitDecreasing::place(&c, &[VmId(4)], &mut index, observed).is_none());
     }
 
     #[test]
@@ -456,8 +380,8 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(FirstFitDecreasing::place(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
-        let placement = FirstFitDecreasing::place(&c, &[VmId(0), VmId(1)]).unwrap();
+        assert!(place(&c, &[VmId(0), VmId(1), VmId(2)]).is_none());
+        let placement = place(&c, &[VmId(0), VmId(1)]).unwrap();
         let nodes: std::collections::BTreeSet<NodeId> = placement.values().copied().collect();
         assert_eq!(nodes.len(), 2, "one 600 Mbps VM per 1 Gbps NIC");
     }
@@ -465,8 +389,9 @@ mod tests {
     #[test]
     fn reserved_policy_budgets_boots_by_their_reservation() {
         // A waiting VM created busy (reservation: 1 core) whose observed
-        // demand was zeroed by the monitor.  Observed packing crams it onto
-        // the full node; reserved packing refuses.
+        // demand was zeroed by the monitor, packed after a busy VM filled
+        // the only node.  Observed packing crams it onto the full node;
+        // reserved packing refuses.
         let mut c = cluster(1, 1, 4);
         add_vm(&mut c, 0, 512, 100);
         c.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
@@ -474,19 +399,17 @@ mod tests {
         c.add_vm(Vm::new(VmId(1), MemoryMib::mib(512), CpuCapacity::cores(1)))
             .unwrap();
         c.vm_mut(VmId(1)).unwrap().cpu = CpuCapacity::ZERO; // monitor observes an idle boot
+        let mut full = FreeCapacityIndex::from_capacities(&c);
         assert!(
-            FirstFitDecreasing::place(&c, &[VmId(1)]).is_some(),
+            FirstFitDecreasing::place(&c, &[VmId(0)], &mut full, PackingPolicy::Reserved).is_some()
+        );
+        assert!(
+            FirstFitDecreasing::place(&c, &[VmId(1)], &mut full.clone(), PackingPolicy::Observed)
+                .is_some(),
             "observed packing sees a zero-demand VM"
         );
-        let mut free = FirstFitDecreasing::free_resources(&c);
         assert!(
-            FirstFitDecreasing::place_with_free_policy(
-                &c,
-                &[VmId(1)],
-                &mut free,
-                PackingPolicy::Reserved
-            )
-            .is_none(),
+            FirstFitDecreasing::place(&c, &[VmId(1)], &mut full, PackingPolicy::Reserved).is_none(),
             "reserved packing budgets the full core the boot will demand"
         );
         // Once the VM runs, the policy reverts to observed demand: an idle
@@ -540,34 +463,43 @@ mod tests {
     }
 
     #[test]
-    fn indexed_placement_matches_the_linear_packer() {
+    fn indexed_placement_matches_a_linear_packer() {
         let mut c = cluster(3, 2, 4);
         for i in 0..5 {
             add_vm(&mut c, i, 1024 + 512 * (i as u64 % 3), 60);
         }
         let vms: Vec<VmId> = (0..5).map(VmId).collect();
-        let mut free = FirstFitDecreasing::free_resources(&c);
-        let mut index = FreeCapacityIndex::new(free.clone());
-        let linear = FirstFitDecreasing::place_with_free_policy(
-            &c,
-            &vms,
-            &mut free,
-            PackingPolicy::Observed,
-        );
-        let indexed =
-            FirstFitDecreasing::place_indexed_policy(&c, &vms, &mut index, PackingPolicy::Observed);
-        assert_eq!(linear, indexed);
+
+        // Reference: the same decreasing order, a linear first-fit scan.
+        let mut free: Vec<(NodeId, ResourceDemand)> =
+            c.nodes().map(|n| (n.id, n.capacity())).collect();
+        let mut ordered = vms.clone();
+        ordered.sort_by_key(|&vm| {
+            let d = c.vm(vm).unwrap().demand();
+            (std::cmp::Reverse((d.memory.raw(), d.cpu.raw())), vm.0)
+        });
+        let mut linear = BTreeMap::new();
+        for vm in ordered {
+            let d = c.vm(vm).unwrap().demand();
+            let slot = free.iter().position(|(_, avail)| d.fits_in(avail)).unwrap();
+            free[slot].1 = free[slot].1.saturating_sub(&d);
+            linear.insert(vm, free[slot].0);
+        }
+
+        let mut index = FreeCapacityIndex::from_capacities(&c);
+        let indexed = FirstFitDecreasing::place(&c, &vms, &mut index, PackingPolicy::Observed);
+        assert_eq!(indexed, Some(linear));
         assert_eq!(index.into_free(), free, "the debits must agree too");
     }
 
     #[test]
-    fn failed_indexed_placement_rolls_back() {
+    fn failed_placement_rolls_back() {
         let mut c = cluster(1, 1, 4);
         add_vm(&mut c, 0, 1024, 100);
         add_vm(&mut c, 1, 1024, 100);
-        let mut index = FreeCapacityIndex::from_config(&c);
+        let mut index = FreeCapacityIndex::from_capacities(&c);
         let before = index.clone().into_free();
-        assert!(FirstFitDecreasing::place_indexed_policy(
+        assert!(FirstFitDecreasing::place(
             &c,
             &[VmId(0), VmId(1)],
             &mut index,
@@ -587,7 +519,8 @@ mod tests {
             .unwrap();
         c.set_assignment(VmId(1), VmAssignment::running(NodeId(0)))
             .unwrap();
-        let placement = FirstFitDecreasing::pack_all(&c, &[VmId(0), VmId(1)]).unwrap();
+        let placement =
+            FirstFitDecreasing::pack_all(&c, &[VmId(0), VmId(1)], PackingPolicy::Observed).unwrap();
         let nodes: std::collections::BTreeSet<NodeId> = placement.values().copied().collect();
         assert_eq!(nodes.len(), 2, "packing from scratch spreads them out");
     }

@@ -40,6 +40,6 @@ pub use control_loop::{
 pub use decision::{Decision, DecisionError, DecisionModule};
 pub use ffd::{FirstFitDecreasing, FreeCapacityIndex, PackingPolicy};
 pub use optimizer::{
-    OptimizedOutcome, OptimizerError, OptimizerMode, PlanOptimizer, RepairConfig, RepairStats,
-    SolverMemory, WarmStart, DEFAULT_MODEL_PATCH_BUDGET,
+    OptimizedOutcome, OptimizerError, OptimizerMode, PlanOptimizer, RepairStats, SolverMemory,
+    WarmStart, DEFAULT_MODEL_PATCH_BUDGET,
 };

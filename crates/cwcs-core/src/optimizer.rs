@@ -40,7 +40,7 @@
 //!    an overloaded node);
 //! 2. builds the **candidate node set**: the nodes already involved (current
 //!    hosts and image locations of the movable VMs, overloaded nodes) plus a
-//!    configurable *halo* of extra destination nodes ranked by the capacity
+//!    *halo* of 16 extra destination nodes ranked by the capacity
 //!    left — in the sub-problem's scarcest resource dimension — once the
 //!    pinned VMs are accounted for;
 //! 3. solves the reduced placement model over movable VMs × candidate nodes,
@@ -113,17 +113,17 @@ use cwcs_solver::{Model, VarId};
 use crate::decision::Decision;
 use crate::ffd::{FirstFitDecreasing, PackingPolicy};
 
-/// Number of leading dimensions whose packing constraint is posted even when
-/// every size is zero: the paper's (CPU, memory) pair, derived from
-/// [`Dimension::is_legacy`] so there is a single source of truth.  See
-/// [`MultiDimPacking::post`] — this is what keeps the 2-dimensional search
-/// bit-identical to the historical pair-based model.
 /// Default [`PlanOptimizer::model_patch_budget`]: sized so one streaming
 /// tick of vjob arrivals at the 10k-node benchmark shape (1 000 vjobs × 2
 /// VMs arriving while the previous tick's 2 000 leave the movable set ≈ a
 /// 4 000-VM diff) still patches instead of rebuilding.
 pub const DEFAULT_MODEL_PATCH_BUDGET: usize = 4096;
 
+/// Number of leading dimensions whose packing constraint is posted even when
+/// every size is zero: the paper's (CPU, memory) pair, derived from
+/// [`Dimension::is_legacy`] so there is a single source of truth.  See
+/// [`MultiDimPacking::post`] — this is what keeps the 2-dimensional search
+/// bit-identical to the historical pair-based model.
 const LEGACY_DIMS: usize = {
     let mut n = 0;
     while n < NUM_RESOURCE_DIMENSIONS && Dimension::ALL[n].is_legacy() {
@@ -131,6 +131,14 @@ const LEGACY_DIMS: usize = {
     }
     n
 };
+
+/// Number of extra candidate destination nodes (beyond the nodes the movable
+/// VMs already involve) a repair admits into its sub-problem, ranked by free
+/// capacity after pinning.  Doubled on each widening round.
+const REPAIR_HALO: usize = 16;
+
+/// Luby restart scale of the repair sub-problem search.
+const REPAIR_RESTART_SCALE: u64 = 256;
 
 /// How the optimizer scopes the placement problem.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -140,35 +148,15 @@ pub enum OptimizerMode {
     Full,
     /// Repair-based partial reconfiguration: keep healthy running VMs where
     /// they are and re-place only the VMs that must change, over a reduced
-    /// candidate node set (see the module docs).
-    Repair(RepairConfig),
+    /// candidate node set of 16 halo nodes, with Luby restarts (see the
+    /// module docs).
+    Repair,
 }
 
 impl OptimizerMode {
-    /// Repair mode with the default halo and restart settings.
+    /// Repair mode.
     pub fn repair() -> Self {
-        OptimizerMode::Repair(RepairConfig::default())
-    }
-}
-
-/// Tuning of [`OptimizerMode::Repair`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepairConfig {
-    /// Number of extra candidate destination nodes (beyond the nodes the
-    /// movable VMs already involve) admitted into the sub-problem, ranked by
-    /// free capacity after pinning.  Doubled on each widening round.
-    pub halo: usize,
-    /// Luby restart scale of the sub-problem search; `None` disables
-    /// restarts.
-    pub restart_scale: Option<u64>,
-}
-
-impl Default for RepairConfig {
-    fn default() -> Self {
-        RepairConfig {
-            halo: 16,
-            restart_scale: Some(256),
-        }
+        OptimizerMode::Repair
     }
 }
 
@@ -657,15 +645,9 @@ impl PlanOptimizer {
             OptimizerMode::Full => {
                 self.optimize_full(current, decision, vjobs, memory, warm.as_ref())?
             }
-            OptimizerMode::Repair(config) => self.optimize_repair(
-                current,
-                decision,
-                vjobs,
-                config,
-                memory,
-                view,
-                warm.as_ref(),
-            )?,
+            OptimizerMode::Repair => {
+                self.optimize_repair(current, decision, vjobs, memory, view, warm.as_ref())?
+            }
         };
         if self.warm_start {
             let placement: BTreeMap<VmId, NodeId> = Self::vms_to_run(decision, vjobs)
@@ -728,7 +710,7 @@ impl PlanOptimizer {
             None => {
                 // The CP search found nothing within its budget (or the
                 // problem is infeasible): fall back to First-Fit Decreasing.
-                FirstFitDecreasing::pack_all_policy(current, &must_run, self.packing)
+                FirstFitDecreasing::pack_all(current, &must_run, self.packing)
                     .ok_or(OptimizerError::NoViablePlacement)?
             }
         };
@@ -1094,13 +1076,11 @@ impl PlanOptimizer {
     /// only the movable VMs over a reduced candidate node set, seed the
     /// search with a keep-current-host incumbent, and graft the sub-solution
     /// back onto the untouched configuration.
-    #[allow(clippy::too_many_arguments)]
     fn optimize_repair(
         &self,
         current: &Configuration,
         decision: &Decision,
         vjobs: &[Vjob],
-        config: RepairConfig,
         memory: &mut SolverMemory,
         view: &ClusterView,
         warm: Option<&WarmStart>,
@@ -1259,7 +1239,7 @@ impl PlanOptimizer {
         });
         let diversify = warm.map(|w| w.next_diversify).unwrap_or(0);
 
-        let mut halo = config.halo.max(1);
+        let mut halo = REPAIR_HALO;
         let (placement, incumbent_indices, stats, portfolio) = loop {
             let mut candidates: Vec<NodeId> = anchors.iter().copied().collect();
             candidates.extend(ranked_rest.iter().take(base + halo).copied());
@@ -1272,7 +1252,7 @@ impl PlanOptimizer {
                 nodes: candidates.clone(),
                 capacities: candidates.iter().map(|n| free[n]).collect(),
                 incumbent: incumbent.clone(),
-                restarts: config.restart_scale.map(RestartPolicy::luby),
+                restarts: Some(RestartPolicy::luby(REPAIR_RESTART_SCALE)),
                 diversify,
                 warm_placement: warm_movable.clone(),
             };
@@ -1290,9 +1270,8 @@ impl PlanOptimizer {
                 // First-Fit-Decreasing packing (the decision module proved
                 // the states fit, so this normally succeeds).
                 repair.fell_back_to_full = true;
-                let placement =
-                    FirstFitDecreasing::pack_all_policy(current, &must_run, self.packing)
-                        .ok_or(OptimizerError::NoViablePlacement)?;
+                let placement = FirstFitDecreasing::pack_all(current, &must_run, self.packing)
+                    .ok_or(OptimizerError::NoViablePlacement)?;
                 let target = Self::build_target(current, decision, vjobs, &placement)?;
                 let plan = self.planner.plan(current, &target, vjobs)?;
                 let cost = self.cost_model.plan_cost(&plan);
@@ -1407,8 +1386,8 @@ impl PlanOptimizer {
     }
 
     /// The First-Fit-Decreasing baseline: keep the first viable configuration
-    /// (the decision module's proof placement recomputed with FFD), with no
-    /// cost optimization.
+    /// that packs the decided running VMs into empty nodes, with no cost
+    /// optimization.
     pub fn ffd_outcome(
         &self,
         current: &Configuration,
@@ -1416,7 +1395,7 @@ impl PlanOptimizer {
         vjobs: &[Vjob],
     ) -> Result<OptimizedOutcome, OptimizerError> {
         let must_run = Self::vms_to_run(decision, vjobs);
-        let placement = FirstFitDecreasing::pack_all_policy(current, &must_run, self.packing)
+        let placement = FirstFitDecreasing::pack_all(current, &must_run, self.packing)
             .ok_or(OptimizerError::NoViablePlacement)?;
         let target = Self::build_target(current, decision, vjobs, &placement)?;
         let plan = self.planner.plan(current, &target, vjobs)?;
@@ -1677,7 +1656,6 @@ mod tests {
         states.insert(VjobId(0), VjobState::Running);
         let decision = Decision {
             vjob_states: states,
-            proof_configuration: c.clone(),
         };
         let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(200));
         let err = optimizer.optimize(&c, &decision, &[vjob]).unwrap_err();
@@ -1802,13 +1780,16 @@ mod tests {
     #[test]
     fn repair_halo_ranks_by_the_scarce_resource() {
         // A CPU-skewed sub-problem: the movable VM needs 4 cores but almost
-        // no memory.  Four memory-rich / CPU-poor nodes surround one
-        // CPU-rich node.  The old blended `mem + 10·cpu` ranking pulled the
-        // memory-rich nodes into the halo first and had to widen twice
-        // before reaching the only node that can host the VM; ranking by the
-        // scarcest dimension (CPU here) must find it without any widening.
+        // no memory.  Memory-rich / CPU-poor decoy nodes surround one
+        // CPU-rich node.  A memory (or blended `mem + 10·cpu`) ranking pulls
+        // the decoys into the halo first: two of them cover the 4 cores, and
+        // the 16 halo nodes after them are decoys too, so it has to widen
+        // before reaching the only node that can host the VM.  Ranking by
+        // the scarcest dimension (CPU here) must find it without any
+        // widening.
+        const DECOYS: u32 = 20;
         let mut c = Configuration::new();
-        for i in 0..4 {
+        for i in 0..DECOYS {
             c.add_node(Node::new(
                 NodeId(i),
                 CpuCapacity::cores(2),
@@ -1817,7 +1798,7 @@ mod tests {
             .unwrap();
         }
         c.add_node(Node::new(
-            NodeId(4),
+            NodeId(DECOYS),
             CpuCapacity::cores(8),
             MemoryMib::gib(2),
         ))
@@ -1828,17 +1809,13 @@ mod tests {
         let decision = decide(&c, &vjobs);
         assert_eq!(decision.vjob_states[&VjobId(0)], VjobState::Running);
 
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(
-            OptimizerMode::Repair(RepairConfig {
-                halo: 1,
-                restart_scale: Some(256),
-            }),
-        );
+        let optimizer =
+            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         let repair = outcome.repair.expect("repair stats");
         assert_eq!(repair.widenings, 0, "the CPU-rich node must rank first");
         assert!(!repair.fell_back_to_full);
-        assert_eq!(outcome.target.host(VmId(0)).unwrap(), Some(NodeId(4)));
+        assert_eq!(outcome.target.host(VmId(0)).unwrap(), Some(NodeId(DECOYS)));
         assert!(outcome.target.is_viable());
     }
 
@@ -1846,15 +1823,17 @@ mod tests {
     fn repair_halo_ranks_by_network_when_net_scarce() {
         // The network mirror of `repair_halo_ranks_by_the_scarce_resource`:
         // a net-skewed sub-problem — the movable VM pushes 800 Mbps but
-        // needs almost no CPU or memory.  Four memory-rich nodes with a
+        // needs almost no CPU or memory.  Memory-rich decoy nodes with a
         // saturated-looking 100 Mbps of NIC headroom surround one NIC-rich
-        // node.  A memory (or blended) ranking pulls the memory-rich nodes
-        // into the halo first and has to widen before reaching the only
-        // node with bandwidth; ranking by the scarcest dimension (network
-        // here) must find it without any widening.
+        // node.  A memory (or blended) ranking pulls the decoys into the
+        // halo first: eight of them cover the 800 Mbps, and the 16 halo
+        // nodes after them are decoys too, so it has to widen before
+        // reaching the only node with bandwidth.  Ranking by the scarcest
+        // dimension (network here) must find it without any widening.
         use cwcs_model::NetBandwidth;
+        const DECOYS: u32 = 26;
         let mut c = Configuration::new();
-        for i in 0..4 {
+        for i in 0..DECOYS {
             c.add_node(
                 Node::new(NodeId(i), CpuCapacity::cores(8), MemoryMib::gib(64))
                     .with_net(NetBandwidth::mbps(100)),
@@ -1862,7 +1841,7 @@ mod tests {
             .unwrap();
         }
         c.add_node(
-            Node::new(NodeId(4), CpuCapacity::cores(2), MemoryMib::gib(2))
+            Node::new(NodeId(DECOYS), CpuCapacity::cores(2), MemoryMib::gib(2))
                 .with_net(NetBandwidth::gbps(1)),
         )
         .unwrap();
@@ -1875,17 +1854,13 @@ mod tests {
         let decision = decide(&c, &vjobs);
         assert_eq!(decision.vjob_states[&VjobId(0)], VjobState::Running);
 
-        let optimizer = PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(
-            OptimizerMode::Repair(RepairConfig {
-                halo: 1,
-                restart_scale: Some(256),
-            }),
-        );
+        let optimizer =
+            PlanOptimizer::with_timeout(Duration::from_secs(5)).with_mode(OptimizerMode::repair());
         let outcome = optimizer.optimize(&c, &decision, &vjobs).unwrap();
         let repair = outcome.repair.expect("repair stats");
         assert_eq!(repair.widenings, 0, "the NIC-rich node must rank first");
         assert!(!repair.fell_back_to_full);
-        assert_eq!(outcome.target.host(VmId(0)).unwrap(), Some(NodeId(4)));
+        assert_eq!(outcome.target.host(VmId(0)).unwrap(), Some(NodeId(DECOYS)));
         assert!(outcome.target.is_viable());
     }
 
@@ -2119,7 +2094,6 @@ mod tests {
         states.insert(VjobId(0), VjobState::Running);
         let decision = Decision {
             vjob_states: states,
-            proof_configuration: c.clone(),
         };
         let optimizer = PlanOptimizer::with_timeout(Duration::from_millis(200));
         let err = optimizer.optimize(&c, &decision, &[vjob]).unwrap_err();

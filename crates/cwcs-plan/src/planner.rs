@@ -20,7 +20,7 @@
 //! apart) so that the VMs of a vjob are paused or woken up together, in a
 //! deterministic order and within a short period.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use cwcs_model::{Configuration, ModelError, NodeId, ResourceDemand, Vjob, VjobId, VmId, VmState};
@@ -29,25 +29,9 @@ use crate::action::Action;
 use crate::graph::{GraphError, ReconfigurationGraph};
 use crate::plan::{PlanError, PlannedAction, Pool, ReconfigurationPlan};
 
-/// Planner tuning knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannerConfig {
-    /// Group the suspends and resumes of the VMs of one vjob into a single
-    /// pool and pipeline them (the consistency pass of Section 4.1).
-    pub group_vjob_actions: bool,
-    /// Delay between two pipelined suspends/resumes of the same pool, in
-    /// seconds (1 s in the paper).
-    pub pipeline_interval_secs: u32,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            group_vjob_actions: true,
-            pipeline_interval_secs: 1,
-        }
-    }
-}
+/// Delay between two pipelined suspends/resumes of the same pool, in
+/// seconds (1 s in the paper).
+const PIPELINE_INTERVAL_SECS: u32 = 1;
 
 /// Errors raised while building a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,9 +87,7 @@ impl From<PlanError> for PlannerError {
 
 /// The reconfiguration planner.
 #[derive(Debug, Clone, Default)]
-pub struct Planner {
-    config: PlannerConfig,
-}
+pub struct Planner;
 
 /// Per-pool reservation tracker: resources claimed on each node by the
 /// actions already admitted into the pool being built.
@@ -214,14 +196,9 @@ impl UsageIndex {
 }
 
 impl Planner {
-    /// A planner with the default (paper) configuration.
+    /// The planner of the paper.
     pub fn new() -> Self {
-        Planner::default()
-    }
-
-    /// A planner with an explicit configuration.
-    pub fn with_config(config: PlannerConfig) -> Self {
-        Planner { config }
+        Planner
     }
 
     /// Build the reconfiguration plan that transforms `source` into `target`.
@@ -240,6 +217,10 @@ impl Planner {
         let mut working = source.clone();
         let mut usage = UsageIndex::build(&working);
         let mut pools: Vec<Pool> = Vec::new();
+        // The nodes each bypassed VM has held in this plan: its source and
+        // every pivot.  A bypass never returns a VM to one of them, so each VM
+        // bypasses at most once per node and the cycle breaking terminates.
+        let mut held: HashSet<(VmId, NodeId)> = HashSet::new();
 
         while !remaining.is_empty() {
             let mut pool_actions: Vec<Action> = Vec::new();
@@ -264,18 +245,26 @@ impl Planner {
             if pool_actions.is_empty() {
                 // Inter-dependent constraint: break a cycle with a bypass
                 // migration through a pivot node (Figure 8).
-                match Self::break_cycle(&working, &usage, &reservations, &blocked) {
+                match Self::break_cycle(&working, &usage, &reservations, &blocked, &held) {
                     Some((bypass, index)) => {
                         if let Some((node, demand)) = bypass.requires() {
                             reservations.claim(node, demand);
                         }
                         pool_actions.push(bypass);
                         // The original migration now starts from the pivot.
-                        if let Action::Migrate { vm, to, demand, .. } = blocked[index] {
+                        if let Action::Migrate {
+                            vm,
+                            from,
+                            to,
+                            demand,
+                        } = blocked[index]
+                        {
                             let pivot = match bypass {
                                 Action::Migrate { to: pivot, .. } => pivot,
                                 _ => unreachable!("bypass is always a migration"),
                             };
+                            held.insert((vm, from));
+                            held.insert((vm, pivot));
                             blocked[index] = Action::Migrate {
                                 vm,
                                 from: pivot,
@@ -328,10 +317,8 @@ impl Planner {
         }
 
         let mut plan = ReconfigurationPlan::from_pools(pools);
-        if self.config.group_vjob_actions {
-            self.group_vjob_resumes(&mut plan, vjobs);
-        }
-        self.pipeline_pools(&mut plan, source);
+        Self::group_vjob_resumes(&mut plan, vjobs);
+        Self::pipeline_pools(&mut plan, source);
 
         // The construction maintains feasibility by design; validate in debug
         // builds to catch regressions early.
@@ -343,13 +330,16 @@ impl Planner {
     }
 
     /// Find a bypass migration for one of the blocked actions: a migration of
-    /// a blocked VM to a pivot node (different from its source and final
-    /// destination) with enough spare capacity.
+    /// a blocked VM to a pivot node with enough spare capacity.  The pivot is
+    /// neither the VM's current node, its final destination, nor any node
+    /// the VM has `held` in this plan: bouncing back to a node it left frees
+    /// nothing the cycle did not already have.
     fn break_cycle(
         working: &Configuration,
         usage: &UsageIndex,
         reservations: &Reservations,
         blocked: &[Action],
+        held: &HashSet<(VmId, NodeId)>,
     ) -> Option<(Action, usize)> {
         for (index, action) in blocked.iter().enumerate() {
             if let Action::Migrate {
@@ -360,7 +350,7 @@ impl Planner {
             } = *action
             {
                 for pivot in working.node_ids() {
-                    if pivot == from || pivot == to {
+                    if pivot == from || pivot == to || held.contains(&(vm, pivot)) {
                         continue;
                     }
                     if reservations.fits(working, usage, pivot, &demand) {
@@ -404,7 +394,7 @@ impl Planner {
 
     /// Move the resumes of each vjob into the pool that contains that vjob's
     /// last resume, so they can be executed together.
-    fn group_vjob_resumes(&self, plan: &mut ReconfigurationPlan, vjobs: &[Vjob]) {
+    fn group_vjob_resumes(plan: &mut ReconfigurationPlan, vjobs: &[Vjob]) {
         if vjobs.is_empty() {
             return;
         }
@@ -458,10 +448,9 @@ impl Planner {
     }
 
     /// Sort the suspends and resumes of every pool by host name and assign
-    /// them pipeline offsets one `pipeline_interval_secs` apart.  Other
+    /// them pipeline offsets [`PIPELINE_INTERVAL_SECS`] apart.  Other
     /// actions start at offset 0.
-    fn pipeline_pools(&self, plan: &mut ReconfigurationPlan, source: &Configuration) {
-        let interval = self.config.pipeline_interval_secs;
+    fn pipeline_pools(plan: &mut ReconfigurationPlan, source: &Configuration) {
         for pool in plan.pools_mut() {
             // Order: non-pipelined actions first (offset 0), then pipelined
             // suspend/resume sorted by host name.
@@ -475,7 +464,7 @@ impl Planner {
             }
             pipelined.sort_by_key(|p| p.action.pipeline_key(source));
             for (i, planned) in pipelined.iter_mut().enumerate() {
-                planned.offset_secs = i as u32 * interval;
+                planned.offset_secs = i as u32 * PIPELINE_INTERVAL_SECS;
             }
             for planned in immediate.iter_mut() {
                 planned.offset_secs = 0;
@@ -608,6 +597,50 @@ mod tests {
     }
 
     #[test]
+    fn bypassed_vm_never_bounces_back_to_a_node_it_left() {
+        // VM 0 waits for node 1, which the VM 1 <-> VM 2 swap keeps full.
+        // The first bypass sends VM 0 from node 0 to pivot node 2.  Node 0
+        // is then the only pivot with room for VM 0, and sending it back
+        // frees nothing: node 1 stays full, and a planner that allowed it
+        // would bounce VM 0 between nodes 0 and 2 forever, one pool per
+        // bounce.  A VM may not return to a node it held, so the next bypass
+        // goes to VM 1 instead, which breaks the swap.
+        let mut src = Configuration::new();
+        for i in 0..3 {
+            src.add_node(node(i, 2, 4096)).unwrap();
+        }
+        src.add_vm(vm(0, 512, 100)).unwrap(); // 1 core, node 0 -> node 1
+        src.add_vm(vm(1, 512, 200)).unwrap(); // 2 cores, node 1 -> node 2
+        src.add_vm(vm(2, 512, 100)).unwrap(); // 1 core, node 2 -> node 1
+        src.set_assignment(VmId(0), VmAssignment::running(NodeId(0)))
+            .unwrap();
+        src.set_assignment(VmId(1), VmAssignment::running(NodeId(1)))
+            .unwrap();
+        src.set_assignment(VmId(2), VmAssignment::running(NodeId(2)))
+            .unwrap();
+        let mut dst = src.clone();
+        dst.set_assignment(VmId(0), VmAssignment::running(NodeId(1)))
+            .unwrap();
+        dst.set_assignment(VmId(1), VmAssignment::running(NodeId(2)))
+            .unwrap();
+        dst.set_assignment(VmId(2), VmAssignment::running(NodeId(1)))
+            .unwrap();
+        assert!(dst.is_viable());
+
+        let plan = Planner::new().plan(&src, &dst, &[]).unwrap();
+        let final_config = plan.validate(&src).unwrap();
+        for i in 0..3 {
+            assert_eq!(
+                final_config.host(VmId(i)).unwrap(),
+                dst.host(VmId(i)).unwrap()
+            );
+        }
+        // One bypass per VM at most: VM 0 via node 2, VM 1 via node 0.
+        assert_eq!(plan.stats().migrations, 5);
+        assert_eq!(plan.stats().suspends, 0);
+    }
+
+    #[test]
     fn truly_unreachable_target_is_an_error() {
         // A target that is not even viable (two busy single-core VMs forced
         // onto one single-core node) cannot be planned.
@@ -679,9 +712,10 @@ mod tests {
     #[test]
     fn vjob_resumes_are_grouped_in_one_pool() {
         // Two VMs of the same vjob resume on two nodes, but one of them can
-        // only resume after a suspend frees its node.  Without grouping the
-        // resumes land in different pools; with grouping they share the last
-        // one.
+        // only resume after a suspend frees its node.  Planned as individual
+        // VMs (no vjob membership, so grouping has nothing to act on) the
+        // resumes land in different pools; planned as one vjob they share
+        // the last one.
         let mut src = Configuration::new();
         src.add_node(node(0, 1, 1024)).unwrap();
         src.add_node(node(1, 1, 1024)).unwrap();
@@ -705,14 +739,8 @@ mod tests {
 
         let vjob = Vjob::new(VjobId(0), vec![VmId(1), VmId(2)], 0);
 
-        // Without grouping: resumes in different pools.
-        let planner = Planner::with_config(PlannerConfig {
-            group_vjob_actions: false,
-            pipeline_interval_secs: 1,
-        });
-        let plan = planner
-            .plan(&src, &dst, std::slice::from_ref(&vjob))
-            .unwrap();
+        // Without vjob membership: resumes in different pools.
+        let plan = Planner::new().plan(&src, &dst, &[]).unwrap();
         let resume_pools: Vec<usize> = plan
             .pools()
             .iter()
